@@ -8,6 +8,10 @@ or the iteration budget runs out; because both half-steps are (inexact
 but safeguarded) maximizations, the trace can never properly decrease --
 a decrease beyond 1e-8 is reported as an internal bug.
 
+Inputs are validated at the edges of `solve`: on entry, and in the Pmf
+it returns.  In between, the closed-form loop runs the array kernels of
+the steps, whose outputs meet those checks by construction.
+
 The oracle maximizes the mutual information itself over a simplex grid
 (with golden-section refinement for binary inputs), touching none of the
 functional or update code, so it catches errors anywhere in that chain.
@@ -25,10 +29,11 @@ from .errors import Diverged, DimensionMismatch, DomainError, TooLarge
 from .simplex import Channel, Pmf, uniform
 from .variational import (
     FunctionalSpec,
-    eval_functional,
-    p_step_closed,
+    QFamily,
+    _eval,
+    _p_closed,
+    _q_cols,
     p_step_numeric,
-    q_step,
 )
 
 #: Largest simplex grid the oracle will enumerate.
@@ -79,24 +84,28 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
     response step until the objective stalls within epsilon.
     """
     spec = cfg.spec
-    p = cfg.p0 if cfg.p0 is not None else uniform(w.nx)
-    if len(p) != w.nx:
+    p_x = cfg.p0 if cfg.p0 is not None else uniform(w.nx)
+    if len(p_x) != w.nx:
         raise DimensionMismatch("initial prior and channel input alphabets differ")
-    if np.any(p.probs <= 0.0):
+    if np.any(p_x.probs <= 0.0):
         raise DomainError("initial prior must be strictly positive")
 
     closed = spec.has_closed_p_step and not cfg.force_numeric
-    q = q_step(spec, p, w)
-    trace = [eval_functional(spec, p, w, q)]
+    kind, a, wm = spec.kind, spec.alpha, w.rows
+    pos = wm > 0.0
+    p = p_x.probs
+    qc = _q_cols(kind, a, p, wm)
+    trace = [_eval(spec, p, wm, qc)]
     converged = False
 
     for _ in range(cfg.max_iter):
         if closed:
-            p = p_step_closed(spec, w, q)
+            p = _p_closed(kind, a, wm, qc, pos)
         else:
-            p = p_step_numeric(spec, w, q, p, iters=cfg.numeric_iters, step=cfg.numeric_step)
-        q = q_step(spec, p, w)
-        value = eval_functional(spec, p, w, q)
+            p = p_step_numeric(spec, w, QFamily(qc), Pmf(p),
+                               iters=cfg.numeric_iters, step=cfg.numeric_step).probs
+        qc = _q_cols(kind, a, p, wm)
+        value = _eval(spec, p, wm, qc)
         if value < trace[-1] - 1e-8:
             raise Diverged(
                 f"objective decreased from {trace[-1]:.12g} to {value:.12g}"
@@ -111,7 +120,7 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
 
     return SolveResult(
         capacity=trace[-1],
-        argmax_p=p,
+        argmax_p=Pmf(p),
         iterations=len(trace) - 1,
         trace=tuple(trace),
         converged=converged,
@@ -157,7 +166,7 @@ def brute_force_search(
 
     if m == 1:
         p = Pmf(np.array([1.0]))
-        return _mi_value(spec, p, w), p
+        return mutual_information(spec.pair, p, w).mi, p
 
     steps = max(1, round(1.0 / resolution))
     count = math.comb(steps + m - 1, m - 1)
@@ -191,30 +200,20 @@ def brute_force_search(
     return best_val, Pmf(best_p)
 
 
-def _mi_value(spec: FunctionalSpec, p: Pmf, w: Channel) -> float:
-    return mutual_information(spec.pair, p, w).mi
-
-
 def _grid_chunks(m: int, steps: int, chunk_rows: int):
-    """Yield blocks of simplex grid points (rows sum to 1) in a fixed order."""
-    buf: list[np.ndarray] = []
+    """Yield blocks of simplex grid points (rows sum to 1) in lexicographic order.
 
-    def _emit(prefix: list[int], remaining: int, depth: int):
-        if depth == m - 1:
-            buf.append(np.array(prefix + [remaining], dtype=np.float64))
-            return
-        for k in range(remaining + 1):
-            _emit(prefix + [k], remaining - k, depth + 1)
-
-    if m == 2:
-        ks = np.arange(steps + 1, dtype=np.float64)
-        grid = np.column_stack([ks, steps - ks]) / steps
-        for i in range(0, grid.shape[0], chunk_rows):
-            yield grid[i : i + chunk_rows]
-        return
-
-    _emit([], steps, 0)
-    grid = np.vstack(buf) / steps
+    Each of the first m-1 coordinates splits every row into one per count
+    0..rest (stars and bars); the last coordinate takes what is left.
+    """
+    rest = np.array([steps])
+    cols: list[np.ndarray] = []
+    for _ in range(m - 1):
+        counts = rest + 1
+        k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        cols = [np.repeat(c, counts) for c in cols] + [k]
+        rest = np.repeat(rest, counts) - k
+    grid = np.column_stack(cols + [rest]).astype(np.float64) / steps
     for i in range(0, grid.shape[0], chunk_rows):
         yield grid[i : i + chunk_rows]
 

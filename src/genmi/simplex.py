@@ -77,8 +77,8 @@ class Channel:
         w = _freeze(np.atleast_2d(self.rows))
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
             raise DimensionMismatch("a channel must be a non-empty matrix")
-        for x in range(w.shape[0]):
-            Pmf(w[x])  # row-wise validation
+        for x in np.flatnonzero(~_pmf_rows(w)):
+            Pmf(w[x])  # raises the first bad row's own error
         object.__setattr__(self, "rows", w)
 
     @property
@@ -88,9 +88,6 @@ class Channel:
     @property
     def ny(self) -> int:
         return self.rows.shape[1]
-
-    def row(self, x: int) -> Pmf:
-        return Pmf(self.rows[x])
 
     def compose(self, other: "Channel") -> "Channel":
         """Cascade: the X -> Z channel obtained by feeding Y into `other`."""
@@ -116,14 +113,6 @@ class Joint:
         if abs(float(c.sum()) - 1.0) > SUM_TOL:
             raise DomainError("joint cells must sum to 1 within 1e-9")
         object.__setattr__(self, "cells", c)
-
-    @property
-    def x_marginal(self) -> Pmf:
-        return make_pmf(self.cells.sum(axis=1))
-
-    @property
-    def y_marginal(self) -> Pmf:
-        return make_pmf(self.cells.sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -171,11 +160,26 @@ def make_pmf(values) -> Pmf:
 
 
 def make_channel(rows) -> Channel:
-    """Sanitize a matrix into a Channel, row by row via make_pmf."""
+    """Sanitize a matrix into a Channel: make_pmf on every row, all rows at once."""
     w = np.asarray(rows, dtype=np.float64)
     if w.ndim != 2:
         raise DimensionMismatch("a channel must be a 2-d matrix")
-    return Channel(np.vstack([make_pmf(w[x]).probs for x in range(w.shape[0])]))
+    v = np.where(w < 0.0, 0.0, w)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # rows rejected below
+        total = v.sum(axis=1)
+        v = np.where(np.abs(total - 1.0)[:, None] > 1e-12, v / total[:, None], v)
+    ok = np.isfinite(w).all(axis=1) & (w >= CLAMP_TOL).all(axis=1) & (total > 1e-15)
+    for x in np.flatnonzero(~(ok & _pmf_rows(v))):
+        make_pmf(w[x])  # raises the first bad row's own error
+    return Channel(v)
+
+
+def _pmf_rows(w: np.ndarray) -> np.ndarray:
+    """Which rows of a matrix pass Pmf's checks."""
+    with np.errstate(invalid="ignore", over="ignore"):  # sums of rows that fail anyway
+        off = np.abs(w.sum(axis=1) - 1.0)
+    in_range = (w >= 0.0) & (w <= 1.0 + SUM_TOL)
+    return np.isfinite(w).all(axis=1) & in_range.all(axis=1) & (off <= SUM_TOL)
 
 
 def uniform(m: int) -> Pmf:

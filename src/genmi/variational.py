@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedSpec,
 )
 from .scoring import loss_from_core
-from .simplex import Channel, Pmf, posterior
+from .simplex import Channel, Pmf
 
 _CLOSED_FORM_KINDS = ("shannon", "arimoto_a1", "arimoto_a2")
 
@@ -226,13 +226,17 @@ def q_step(spec: FunctionalSpec, p_x: Pmf, w: Channel) -> QFamily:
     """
     if len(p_x) != w.nx:
         raise DimensionMismatch("prior and channel input alphabets differ")
-    cells = p_x.probs[:, None] * w.rows
-    if spec.kind == "arimoto_a1":
-        cells = cells ** spec.alpha
+    return QFamily(_q_cols(spec.kind, spec.alpha, p_x.probs, w.rows))
+
+
+def _q_cols(kind: str, a: float | None, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Columns of `q_step` on bare arrays.  For a pmf p, each column is a
+    non-negative column over its own sum, or p, so it passes QFamily's checks."""
+    cells = p[:, None] * w
+    if kind == "arimoto_a1":
+        cells = cells ** a
     col_mass = cells.sum(axis=0)
-    cols = np.where(col_mass > 0.0, cells / np.where(col_mass > 0.0, col_mass, 1.0),
-                    p_x.probs[:, None])
-    return QFamily(cols)
+    return np.where(col_mass > 0.0, cells / np.where(col_mass > 0.0, col_mass, 1.0), p[:, None])
 
 
 def p_step_closed(spec: FunctionalSpec, w: Channel, q: QFamily) -> Pmf:
@@ -245,27 +249,24 @@ def p_step_closed(spec: FunctionalSpec, w: Channel, q: QFamily) -> Pmf:
     """
     if q.nx != w.nx or q.ny != w.ny:
         raise DimensionMismatch("response family shape must match the channel")
-    kind = spec.kind
-    if kind not in _CLOSED_FORM_KINDS:
-        raise UnsupportedSpec(f"no closed-form prior update for {kind!r}")
+    if spec.kind not in _CLOSED_FORM_KINDS:
+        raise UnsupportedSpec(f"no closed-form prior update for {spec.kind!r}")
+    return Pmf(_p_closed(spec.kind, spec.alpha, w.rows, q.cols, w.rows > 0.0))
 
-    wm = w.rows
-    qc = q.cols
+
+def _p_closed(kind: str, a: float | None, w, qc, pos) -> np.ndarray:
+    """The prior of `p_step_closed` on bare arrays; `pos` is `w > 0`, and cells
+    where w is 0 add exactly 0.  After the two NonFinite guards the result is
+    exp(<= 0) over a sum >= exp(0) = 1, so it passes Pmf's checks."""
     if kind == "arimoto_a2":
-        qc = qc ** spec.alpha
+        qc = qc ** a
         qc = qc / qc.sum(axis=0, keepdims=True)
 
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if kind == "shannon":
-            terms = np.zeros_like(wm)
-            m = wm > 0.0
-            terms[m] = wm[m] * np.log(qc[m])
-            log_p = terms.sum(axis=1)
+            log_p = np.where(pos, w * np.log(qc), 0.0).sum(axis=1)
         else:
-            a = spec.alpha
-            terms = np.zeros_like(wm)
-            m = wm > 0.0
-            terms[m] = wm[m] * qc[m] ** ((a - 1.0) / a)
+            terms = np.where(pos, w * qc ** ((a - 1.0) / a), 0.0)
             log_p = np.log(terms.sum(axis=1)) / (a - 1.0)
 
     top = log_p.max()
@@ -275,7 +276,7 @@ def p_step_closed(spec: FunctionalSpec, w: Channel, q: QFamily) -> Pmf:
     total = p.sum()
     if not total > 0.0:
         raise NonFinite("prior update collapsed to zero mass")
-    return Pmf(p / total)
+    return p / total
 
 
 def p_step_numeric(
@@ -340,8 +341,4 @@ def p_step_numeric(
 
 def posterior_family(p_x: Pmf, w: Channel) -> QFamily:
     """The posterior columns as a total response family (p_x where undefined)."""
-    post = posterior(p_x, w)
-    cols = np.tile(p_x.probs[:, None], (1, w.ny))
-    for y in post.support:
-        cols[:, y] = post.cols[y].probs
-    return QFamily(cols)
+    return q_step(shannon_spec(), p_x, w)

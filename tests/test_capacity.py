@@ -1,5 +1,7 @@
 """Alternating-maximization solver and the grid oracle."""
 
+import gc
+import itertools
 import math
 
 import numpy as np
@@ -14,15 +16,20 @@ from genmi import (
     brute_force_capacity,
     brute_force_search,
     convergence_trace,
+    eval_functional,
     fb_spec,
     hayashi_spec,
     make_channel,
     make_pmf,
     mutual_information,
+    p_step_closed,
+    p_step_numeric,
+    q_step,
     shannon_spec,
     solve,
     uniform,
 )
+from genmi.capacity import _grid_chunks
 
 from conftest import binary_entropy, rand_channel
 
@@ -190,3 +197,106 @@ class TestOracle:
         val = brute_force_capacity(shannon_spec(), w, 1e-2)
         sol = solve(SolverConfig(spec=shannon_spec(), epsilon=1e-12), w)
         assert val == pytest.approx(sol.capacity, abs=1e-4)
+
+
+def _public_loop(cfg, w):
+    """solve()'s loop written over the public, validating steps."""
+    spec = cfg.spec
+    p = cfg.p0 if cfg.p0 is not None else uniform(w.nx)
+    q = q_step(spec, p, w)
+    trace = [eval_functional(spec, p, w, q)]
+    for _ in range(cfg.max_iter):
+        if spec.has_closed_p_step and not cfg.force_numeric:
+            p = p_step_closed(spec, w, q)
+        else:
+            p = p_step_numeric(spec, w, q, p, iters=cfg.numeric_iters, step=cfg.numeric_step)
+        q = q_step(spec, p, w)
+        trace.append(eval_functional(spec, p, w, q))
+        if abs(trace[-1] - trace[-2]) < cfg.epsilon:
+            return trace, p, True
+    return trace, p, False
+
+
+class TestSolveMatchesPublicSteps:
+    """solve() runs the steps' array kernels; its results must be the same bits."""
+
+    SPECS = (shannon_spec(), arimoto_a1_spec(0.5), arimoto_a1_spec(2.0),
+             arimoto_a2_spec(0.5), arimoto_a2_spec(2.0))
+
+    def _assert_same(self, cfg, w):
+        got = solve(cfg, w)
+        trace, p, converged = _public_loop(cfg, w)
+        assert got.trace == tuple(trace)
+        assert got.iterations == len(trace) - 1
+        assert got.converged == converged
+        assert got.capacity == trace[-1]
+        assert got.argmax_p.probs.tobytes() == p.probs.tobytes()
+        return got
+
+    def test_seeded_channels(self):
+        rng = np.random.default_rng(59)
+        for m, n in ((2, 2), (3, 3), (4, 2), (2, 5)):
+            w = rand_channel(rng, m, n)
+            p0 = make_pmf(rng.random(m) + 0.1)
+            for spec in self.SPECS:
+                self._assert_same(SolverConfig(spec=spec, max_iter=3000), w)
+                self._assert_same(SolverConfig(spec=spec, max_iter=3000, p0=p0), w)
+
+    def test_zero_mass_output_column(self):
+        rows = np.random.default_rng(61).random((3, 4))
+        rows[:, 1] = 0.0
+        rows[0, 2] = rows[2, 3] = 0.0  # zero cells in columns with mass, too
+        w = make_channel(rows)
+        for spec in self.SPECS:
+            self._assert_same(SolverConfig(spec=spec, max_iter=3000), w)
+
+    def test_boundary_optimum(self):
+        # the third input is a mixture of the first two: the optimum gives it no mass
+        w = make_channel([[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]])
+        for spec in self.SPECS:
+            got = self._assert_same(SolverConfig(spec=spec, epsilon=1e-12, max_iter=5000), w)
+            assert got.argmax_p[2] < 1e-3
+
+    def test_budget_exhausted(self):
+        w = rand_channel(np.random.default_rng(67), 3, 3)
+        for spec in self.SPECS:
+            got = self._assert_same(SolverConfig(spec=spec, epsilon=1e-15, max_iter=7), w)
+            assert not got.converged
+
+    def test_forced_numeric(self):
+        w = rand_channel(np.random.default_rng(71), 2, 3, floor=0.05)
+        for spec in (shannon_spec(), arimoto_a2_spec(2.0), hayashi_spec(2.0)):
+            cfg = SolverConfig(spec=spec, max_iter=6, numeric_iters=20,
+                               force_numeric=spec.has_closed_p_step)
+            self._assert_same(cfg, w)
+
+
+def _lex_grid(m, steps):
+    """Simplex grid rows in lexicographic order, built with itertools."""
+    rows = [ks + (steps - sum(ks),)
+            for ks in itertools.product(range(steps + 1), repeat=m - 1) if sum(ks) <= steps]
+    return np.array(rows, dtype=np.float64) / steps
+
+
+class TestOracleGrid:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_matches_lexicographic_reference(self, m):
+        for steps in (1, 2, 5, 13):
+            want = _lex_grid(m, steps)
+            n = want.shape[0]
+            for chunk_rows in (1, 4, 7, n - 1, n, 250_000):
+                chunks = list(_grid_chunks(m, steps, chunk_rows))
+                assert [c.shape[0] for c in chunks] == [
+                    min(chunk_rows, n - i) for i in range(0, n, chunk_rows)
+                ]
+                assert np.array_equal(np.vstack(chunks), want)
+
+    def test_oracle_leaves_no_cyclic_garbage(self):
+        w = rand_channel(np.random.default_rng(73), 4, 3)
+        gc.collect()
+        gc.disable()
+        try:
+            brute_force_search(shannon_spec(), w, 1e-2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -8,7 +8,11 @@ import pytest
 from genmi import (
     AllZero,
     BadAlpha,
+    Channel,
     DimensionMismatch,
+    DomainError,
+    GenmiError,
+    Pmf,
     NegativeMass,
     NonFinite,
     alpha_tilt,
@@ -67,6 +71,60 @@ class TestMakePmf:
         p = make_pmf([0.5, 0.5])
         with pytest.raises(ValueError):
             p.probs[0] = 1.0
+
+
+def _error_of(fn, *args):
+    with np.errstate(over="ignore"):
+        try:
+            fn(*args)
+        except GenmiError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+class TestChannelRows:
+    """Channel and make_channel check all rows at once, as Pmf and make_pmf do one row."""
+
+    def test_matches_row_by_row_sanitation(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            m, n = int(rng.integers(1, 6)), int(rng.integers(2, 40))
+            rows = rng.random((m, n)) * rng.choice([1e-6, 1.0, 7.0])
+            if rng.random() < 0.5:
+                rows = rows / rows.sum(axis=1, keepdims=True)
+            rows[rng.integers(m), rng.integers(n)] = rng.choice([0.0, -1e-13])
+            want = np.vstack([make_pmf(r).probs for r in rows])
+            got = make_channel(rows).rows
+            assert got.tobytes() == want.tobytes()
+            assert Channel(want).rows.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        [0.5, float("nan"), 0.5],
+        [0.5, -0.1, 0.6],
+        [0.0, 1e-16, 0.0],
+        [1e308, 1e308, 0.0],
+    ])
+    def test_make_channel_bad_middle_row(self, bad):
+        want = _error_of(make_pmf, bad)
+        assert want is not None
+        assert _error_of(make_channel, [[0.2, 0.3, 0.5], bad, [0.1, 0.1, 0.8]]) == want
+
+    @pytest.mark.parametrize("bad", [
+        [0.5, float("nan"), 0.5],
+        [0.5, float("inf"), 0.5],
+        [1.5, -0.5, 0.0],
+        [0.3, 0.3, 0.3],
+    ])
+    def test_channel_bad_middle_row(self, bad):
+        want = _error_of(Pmf, np.array(bad))
+        assert want is not None
+        assert _error_of(Channel, np.array([[0.2, 0.3, 0.5], bad, [0.1, 0.1, 0.8]])) == want
+
+    def test_first_bad_row_wins(self):
+        assert _error_of(make_channel, [[0.5, 0.5], [0.0, 0.0], [float("nan"), 1.0]]) == (
+            AllZero, "pmf input sums to (numerically) zero")
+        assert _error_of(Channel, np.array([[0.5, 0.5], [0.3, 0.3], [float("nan"), 1.0]])) == (
+            DomainError, "pmf entries must sum to 1 within 1e-9")
 
 
 class TestJoint:
