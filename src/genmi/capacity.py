@@ -2,15 +2,19 @@
 
 The solver alternates exact inner maximization over response families
 with outer maximization over priors (closed-form where available,
-safeguarded numeric ascent otherwise), tracking the objective after each
-full round.  It stops when the objective gain drops below the threshold
-or the iteration budget runs out; because both half-steps are (inexact
-but safeguarded) maximizations, the trace can never properly decrease --
-a decrease beyond 1e-8 is reported as an internal bug.
+otherwise a safeguarded exponentiated-gradient ascent on the analytic
+gradient), tracking the objective after each full round.  It stops when
+the objective gain drops below the threshold or the iteration budget
+runs out; because both half-steps are (inexact but safeguarded)
+maximizations, the trace can never properly decrease -- a decrease
+beyond 1e-8 is reported as an internal bug.
 
-Inputs are validated at the edges of `solve`: on entry, and in the Pmf
-it returns.  In between, the closed-form loop runs the array kernels of
-the steps, whose outputs meet those checks by construction.
+Inputs are validated at the edges of `solve`: on entry, where the start
+must be strictly interior, and in the Pmf it returns.  In between, the
+loop runs the array kernels of the steps, whose outputs meet those
+checks by construction.  Iterates may reach the simplex boundary:
+capacity-achieving priors often give some inputs no mass, and an input
+the numeric ascent empties stays empty.
 
 The oracle maximizes the mutual information itself over a simplex grid
 (with golden-section refinement for binary inputs), touching none of the
@@ -27,14 +31,7 @@ import numpy as np
 from .entropy import mutual_information
 from .errors import Diverged, DimensionMismatch, DomainError, TooLarge
 from .simplex import Channel, Pmf, uniform
-from .variational import (
-    FunctionalSpec,
-    QFamily,
-    _eval,
-    _p_closed,
-    _q_cols,
-    p_step_numeric,
-)
+from .variational import FunctionalSpec, _eval, _p_closed, _p_numeric, _q_cols
 
 #: Largest simplex grid the oracle will enumerate.
 MAX_GRID_POINTS = 20_000_000
@@ -102,8 +99,7 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
         if closed:
             p = _p_closed(kind, a, wm, qc, pos)
         else:
-            p = p_step_numeric(spec, w, QFamily(qc), Pmf(p),
-                               iters=cfg.numeric_iters, step=cfg.numeric_step).probs
+            p = _p_numeric(spec, wm, qc, p, cfg.numeric_iters, cfg.numeric_step)
         qc = _q_cols(kind, a, p, wm)
         value = _eval(spec, p, wm, qc)
         if value < trace[-1] - 1e-8:

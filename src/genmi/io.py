@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .scoring import GainMatrix
 from .simplex import Channel, Pmf, make_channel, make_pmf
 
@@ -203,15 +203,14 @@ def _read(path: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _splitmix64(state: int):
-    """The SplitMix64 stream; identical output on every platform."""
-    mask = (1 << 64) - 1
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        yield z ^ (z >> 31)
+def _splitmix64_words(seed: int, n: int) -> np.ndarray:
+    """The first n words of the SplitMix64 stream seeded with seed mod 2**64;
+    identical on every platform (uint64 arithmetic wraps modulo 2**64)."""
+    state = np.uint64(seed & ((1 << 64) - 1))
+    z = state + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def random_channel_text(nx: int, ny: int, seed: int) -> str:
@@ -221,11 +220,10 @@ def random_channel_text(nx: int, ny: int, seed: int) -> str:
     u, taken row by row and normalized; the algorithm is fixed so that a
     (nx, ny, seed) triple names the same channel everywhere.
     """
-    gen = _splitmix64(seed & ((1 << 64) - 1))
-    rows = []
-    for _ in range(nx):
-        vals = [((next(gen) >> 11) + 1) * 2.0 ** -53 for _ in range(ny)]
-        rows.append(make_pmf(vals).probs)
+    if nx < 1 or ny < 1:
+        raise DomainError(f"a channel needs at least one input and one output, got {nx}x{ny}")
+    words = _splitmix64_words(seed, nx * ny).reshape(nx, ny)
+    rows = make_channel(((words >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53).rows
     lines = [f"x {nx}", f"y {ny}"]
     lines += ["row " + format_vector(r) for r in rows]
     return "\n".join(lines) + "\n"

@@ -36,7 +36,7 @@ from .errors import (
     NonFinite,
     UnsupportedSpec,
 )
-from .scoring import loss_from_core
+from .scoring import GRAD_MIX, loss_from_core
 from .simplex import Channel, Pmf
 
 _CLOSED_FORM_KINDS = ("shannon", "arimoto_a1", "arimoto_a2")
@@ -151,7 +151,7 @@ def _eval(spec: FunctionalSpec, p: np.ndarray, w: np.ndarray, q: np.ndarray) -> 
         if a < 1.0 and np.any(qm == 0.0):
             return -math.inf
         e = float(np.sum(joint[mask] * qm ** ((a - 1.0) / a)))
-        return _log_ratio_value(a / (a - 1.0), e, _norm(p, a))
+        return _outer_value(spec, p, e)
 
     if kind == "arimoto_a2":
         col_norm = np.sum(q ** a, axis=0) ** (1.0 / a)
@@ -159,7 +159,7 @@ def _eval(spec: FunctionalSpec, p: np.ndarray, w: np.ndarray, q: np.ndarray) -> 
         if a < 1.0 and np.any(ratio == 0.0):
             return -math.inf
         e = float(np.sum(joint[mask] * ratio ** (a - 1.0)))
-        return _log_ratio_value(a / (a - 1.0), e, _norm(p, a))
+        return _outer_value(spec, p, e)
 
     if kind == "hayashi":
         col_sum = np.sum(q ** a, axis=0)
@@ -170,7 +170,7 @@ def _eval(spec: FunctionalSpec, p: np.ndarray, w: np.ndarray, q: np.ndarray) -> 
             col_sum[None, :], joint.shape
         )[mask]
         e = float(np.sum(joint[mask] * bracket))
-        return _log_ratio_value(1.0 / (a - 1.0), e, float(np.sum(p ** a)))
+        return _outer_value(spec, p, e)
 
     if kind == "fb":
         col_sum = np.sum(q ** a, axis=0)
@@ -178,13 +178,10 @@ def _eval(spec: FunctionalSpec, p: np.ndarray, w: np.ndarray, q: np.ndarray) -> 
         scale = (a / (a - 1.0)) * col_sum ** ((2.0 - a) / (a - 1.0))
         losses = head[None, :] - scale[None, :] * q ** (a - 1.0)
         e = float(np.sum(joint[mask] * losses[mask]))
-        if not -e > 0.0:
-            return -math.inf
-        return math.log(-e) - (a / (a - 1.0)) * math.log(_norm(p, a))
+        return _outer_value(spec, p, e)
 
     if kind == "generic":
         pair = spec.pair
-        head = pair.eta_checked(pair.F(p))
         total = 0.0
         for y in range(w.shape[1]):
             col_mask = mask[:, y]
@@ -192,16 +189,34 @@ def _eval(spec: FunctionalSpec, p: np.ndarray, w: np.ndarray, q: np.ndarray) -> 
                 continue
             losses = loss_from_core(pair.F, pair.grad_f, q[:, y])
             total += float(np.sum(joint[col_mask, y] * losses[col_mask]))
-        lo, hi = pair.eta_domain
-        if not lo < total < hi:
-            return -math.inf
-        return head - pair.eta(total)
+        return _outer_value(spec, p, total)
 
     raise UnsupportedSpec(f"unknown functional kind {kind!r}")
 
 
+def _outer_value(spec: FunctionalSpec, p: np.ndarray, e: float) -> float:
+    """G from the prior and the expectation term e; -inf where e leaves the
+    domain of the outer map.  Shannon goes through its pair, with e the
+    expected log loss."""
+    a = spec.alpha
+    if spec.kind in ("arimoto_a1", "arimoto_a2"):
+        return _log_ratio_value(a / (a - 1.0), e, _norm(p, a))
+    if spec.kind == "hayashi":
+        return _log_ratio_value(1.0 / (a - 1.0), e, float((p ** a).sum()))
+    if spec.kind == "fb":
+        if not -e > 0.0:
+            return -math.inf
+        return math.log(-e) - (a / (a - 1.0)) * math.log(_norm(p, a))
+    pair = spec.pair
+    head = pair.eta_checked(pair.F(p))
+    lo, hi = pair.eta_domain
+    if not lo < e < hi:
+        return -math.inf
+    return head - pair.eta(e)
+
+
 def _norm(p: np.ndarray, a: float) -> float:
-    return float(np.sum(p ** a) ** (1.0 / a))
+    return float((p ** a).sum() ** (1.0 / a))
 
 
 def _log_ratio_value(coef: float, e: float, den: float) -> float:
@@ -289,44 +304,39 @@ def p_step_numeric(
 ) -> Pmf:
     """Ascent on the prior by safeguarded exponentiated-gradient steps.
 
-    The gradient of p -> G(p, q) is taken by central finite differences
-    (1e-6 relative step) along the m-1 on-simplex directions through the
-    largest coordinate.  A step is halved until it does not decrease the
-    objective; iteration stops after `iters` rounds or when a round gains
-    less than 1e-12.
+    For fixed q the expectation term of G is linear in the prior,
+    E = sum_x p(x) c_x(q), so the gradient of p -> G(p, q) has a closed
+    form.  Each round takes it, then halves the step until the objective
+    does not decrease; iteration stops after `iters` rounds or when a
+    round gains less than 1e-12.  The start must be strictly interior;
+    a coordinate may reach 0 along the way and then stays 0.
     """
     if len(p_init) != w.nx:
         raise DimensionMismatch("initial prior and channel input alphabets differ")
+    if q.nx != w.nx or q.ny != w.ny:
+        raise DimensionMismatch("response family shape must match the channel")
     if np.any(p_init.probs <= 0.0):
         raise DomainError("numeric prior update needs a strictly interior start")
+    return Pmf(_p_numeric(spec, w.rows, q.cols, p_init.probs, iters, step))
 
-    wm, qc = w.rows, q.cols
-    p = p_init.probs.copy()
-    m = p.size
-    if m == 1:
-        return Pmf(p)
-    f = _eval(spec, p, wm, qc)
 
+def _p_numeric(spec: FunctionalSpec, w, qc, p, iters: int, step: float) -> np.ndarray:
+    """The prior of `p_step_numeric` on bare arrays, from any pmf p.  Every
+    accepted trial is p times positive weights (0 where the gradient is -inf)
+    over their sum, so the result passes Pmf's checks and zeros stay 0."""
+    value, grad = _prior_objective(spec, w, qc)
+    f = value(p)
     for _ in range(iters):
-        pivot = int(np.argmax(p))
-        grad = np.zeros(m)
-        for i in range(m):
-            if i == pivot:
-                continue
-            h = 1e-6 * min(p[i], p[pivot])
-            if h <= 0.0:
-                continue
-            d = np.zeros(m)
-            d[i] = h
-            d[pivot] = -h
-            grad[i] = (_eval(spec, p + d, wm, qc) - _eval(spec, p - d, wm, qc)) / (2.0 * h)
-
+        g = grad(p)
+        top = g.max()
+        if not math.isfinite(top):
+            break  # no usable direction: every input left is -inf-bad, or E is degenerate
         size = step
         cand, f_cand = p, f
         while size >= 1e-12:
-            trial = p * np.exp(size * (grad - grad.max()))
+            trial = p * np.exp(size * (g - top))
             trial = trial / trial.sum()
-            f_trial = _eval(spec, trial, wm, qc)
+            f_trial = value(trial)
             if f_trial >= f:
                 cand, f_cand = trial, f_trial
                 break
@@ -335,8 +345,92 @@ def p_step_numeric(
             p, f = cand, f_cand
             break
         p, f = cand, f_cand
+    return p
 
-    return Pmf(p)
+
+def _prior_objective(spec: FunctionalSpec, w: np.ndarray, q: np.ndarray):
+    """`value(p)` and `grad(p)` of p -> G(p, q) for fixed q, each O(|X|).
+
+    With E = p . c and s = sum_x p(x)^a, the gradients are, up to a
+    constant common to all inputs (which the ascent step ignores):
+
+        shannon    -c - log p          (c is the expected log loss)
+        arimoto    (a/(a-1)) (c/E - p^(a-1)/s)
+        hayashi    (1/(a-1)) (c/E - a p^(a-1)/s)
+        fb         c/E - (a/(a-1)) p^(a-1)/s
+        generic    eta'(F(p)) grad F(p) - eta'(E) c
+
+    The gradient is -inf off the support and on inputs whose c is
+    infinite (G is -inf while they keep mass), so a step empties them.
+    """
+    kind, a, pair = spec.kind, spec.alpha, spec.pair
+    c, bad = _input_coeffs(spec, w, q)
+    keep, any_bad = ~bad, bool(bad.any())
+
+    def value(p: np.ndarray) -> float:
+        if any_bad and (bad & (p > 0.0)).any():
+            return -math.inf
+        return _outer_value(spec, p, float(p.dot(c)))
+
+    def grad(p: np.ndarray) -> np.ndarray:
+        e = float(p.dot(c))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if kind == "shannon":
+                g = -c - np.log(p)
+            elif kind == "generic":
+                z = pair.grad_f((1.0 - GRAD_MIX) * p + GRAD_MIX / p.size)
+                g = _eta_slope(pair, pair.F(p)) * z - _eta_slope(pair, e) * c
+            else:
+                t = p ** (a - 1.0)
+                t = t / (t * p).sum()
+                if kind == "hayashi":
+                    g = (c / e - a * t) / (a - 1.0)
+                elif kind == "fb":
+                    g = c / e - (a / (a - 1.0)) * t
+                else:
+                    g = (a / (a - 1.0)) * (c / e - t)
+        return np.where((p > 0.0) & keep, g, -math.inf)
+
+    return value, grad
+
+
+def _input_coeffs(spec: FunctionalSpec, w: np.ndarray, q: np.ndarray):
+    """Per-input coefficients c of the expectation term, E = p . c, with the
+    inputs whose coefficient is infinite flagged (and their c set to 0).
+    c_x sums w(y|x) times the loss at q over the outputs with w(y|x) > 0."""
+    kind, a = spec.kind, spec.alpha
+    pos = w > 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if kind == "shannon":
+            cells = -np.log(q)
+        elif kind == "arimoto_a1":
+            cells = q ** ((a - 1.0) / a)
+        elif kind == "arimoto_a2":
+            cells = (q / np.sum(q ** a, axis=0) ** (1.0 / a)) ** (a - 1.0)
+        elif kind == "hayashi":
+            cells = a * q ** (a - 1.0) - (a - 1.0) * np.sum(q ** a, axis=0)
+        elif kind == "fb":
+            col_sum = np.sum(q ** a, axis=0)
+            head = (1.0 / (a - 1.0)) * col_sum ** (1.0 / (a - 1.0))
+            scale = (a / (a - 1.0)) * col_sum ** ((2.0 - a) / (a - 1.0))
+            cells = head - scale * q ** (a - 1.0)
+        elif kind == "generic":
+            pair = spec.pair
+            cells = np.zeros_like(q)
+            for y in np.flatnonzero(pos.any(axis=0)):
+                cells[:, y] = loss_from_core(pair.F, pair.grad_f, q[:, y])
+        else:
+            raise UnsupportedSpec(f"unknown functional kind {kind!r}")
+        c = np.where(pos, w * cells, 0.0).sum(axis=1)
+    bad = ~np.isfinite(c)
+    return np.where(bad, 0.0, c), bad
+
+
+def _eta_slope(pair: EntropyPair, t: float) -> float:
+    """eta'(t) by a central difference that stays inside eta's domain."""
+    lo, hi = pair.eta_domain
+    h = min(1e-6 * (abs(t) or 1.0), 0.5 * (t - lo), 0.5 * (hi - t))
+    return (pair.eta(t + h) - pair.eta(t - h)) / (2.0 * h)
 
 
 def posterior_family(p_x: Pmf, w: Channel) -> QFamily:

@@ -2,7 +2,7 @@
 
 Every subcommand and every exit code appears at least once.  Stdout for
 each case is frozen under golden/<name>.out; regenerate with
-`python tests/gen_goldens.py` after an intentional output change.
+`python tests/gen_goldens.py [NAME ...]` after an intentional output change.
 
 `run_cli` is the one way the tests start the CLI: `python -m genmi` in a
 subprocess whose working directory is this folder, so the argv paths above

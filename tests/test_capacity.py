@@ -30,6 +30,7 @@ from genmi import (
     uniform,
 )
 from genmi.capacity import _grid_chunks
+from genmi.io import parse_channel_text, random_channel_text
 
 from conftest import binary_entropy, rand_channel
 
@@ -114,6 +115,36 @@ class TestSolveNumeric:
             w,
         )
         assert numeric.capacity == pytest.approx(closed.capacity, abs=1e-6)
+
+
+class TestBoundaryOptimaNumeric:
+    """Channels whose Hayashi / Fehr-Berens optimum puts (almost) no mass on
+    some inputs.  The numeric prior step used to underflow a coordinate to
+    0 and then reject its own iterate with DomainError."""
+
+    CASES = [
+        (4, 1, "hayashi"), (6, 0, "hayashi"), (6, 4, "fb"), (8, 0, "fb"), (8, 6, "fb"),
+        (8, 8, "hayashi"), (8, 8, "fb"), (16, 20260808, "hayashi"),
+    ]
+
+    @staticmethod
+    def _assert_solved(spec, w):
+        result = solve(SolverConfig(spec=spec, max_iter=2000), w)
+        assert result.converged
+        assert np.all(np.diff(result.trace) >= -1e-8)
+        if w.nx == 4:
+            assert result.capacity >= brute_force_capacity(spec, w, 1e-2) - 1e-9
+        return result
+
+    @pytest.mark.parametrize("n, seed, kind", CASES)
+    def test_seeded_square_channels(self, n, seed, kind):
+        spec = hayashi_spec(2.0) if kind == "hayashi" else fb_spec(2.0)
+        self._assert_solved(spec, make_channel(np.random.default_rng(seed).random((n, n))))
+
+    def test_named_random_channel(self):
+        chan, _ = parse_channel_text(random_channel_text(4, 4, 3))
+        result = self._assert_solved(fb_spec(2.0), chan)
+        assert np.min(result.argmax_p.probs) < 1e-6
 
 
 class TestTraceAndConfig:

@@ -1,19 +1,23 @@
 """Two-argument functionals: identities, maximizer steps, numeric ascent."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from genmi import (
+    DomainError,
     QFamily,
     UnsupportedSpec,
     alpha_tilt,
     arimoto_a1_spec,
     arimoto_a2_spec,
     arimoto_mi,
+    arimoto_pair,
     eval_functional,
     fb_spec,
+    fehr_berens_pair,
     generic_spec,
     hayashi_pair,
     hayashi_spec,
@@ -25,9 +29,12 @@ from genmi import (
     p_step_numeric,
     posterior_family,
     q_step,
+    shannon_pair,
     shannon_spec,
     uniform,
+    variational,
 )
+from genmi.variational import _eval, _p_numeric, _prior_objective
 
 from conftest import rand_channel, rand_pmf
 
@@ -147,7 +154,7 @@ class TestVariationalIdentity:
 
 class TestQFamilyValidation:
     def test_columns_must_be_distributions(self):
-        from genmi import DomainError, NonFinite
+        from genmi import NonFinite
 
         with pytest.raises(DomainError):
             QFamily(np.array([[0.5, 0.5], [0.4, 0.5]]))
@@ -276,3 +283,103 @@ class TestPStepNumeric:
         fam = q_step(spec, p0, w)  # uniform is optimal for this symmetric channel
         out = p_step_numeric(spec, w, fam, p0)
         np.testing.assert_allclose(out.probs, p0.probs, atol=1e-9)
+
+
+GRADIENT_SPECS = (
+    shannon_spec(), arimoto_a1_spec(0.5), arimoto_a1_spec(2.0), arimoto_a2_spec(0.5),
+    arimoto_a2_spec(2.0), hayashi_spec(0.5), hayashi_spec(2.0), fb_spec(2.0),
+    generic_spec(shannon_pair()), generic_spec(arimoto_pair(0.5)), generic_spec(arimoto_pair(2.0)),
+    generic_spec(hayashi_pair(0.5)), generic_spec(hayashi_pair(2.0)),
+    generic_spec(fehr_berens_pair(2.0)),
+)
+
+
+def channel_with_zero_cells(rng, m, n):
+    rows = rng.random((m, n)) + 0.05
+    rows[0, 1] = rows[m - 1, n - 1] = 0.0
+    return make_channel(rows)
+
+
+def family_off_channel_support(rng, w):
+    """A response family that is positive where w is, and 0 on some cells where w is 0."""
+    q = rng.random(w.rows.shape) + 0.05
+    q[0, 1] = 0.0
+    return QFamily(q / q.sum(axis=0))
+
+
+def spec_id(spec):
+    return spec.kind if spec.kind != "generic" else f"generic-{spec.pair.name}"
+
+
+class TestPriorGradient:
+    """The analytic gradient of p -> G(p, q) behind p_step_numeric."""
+
+    @pytest.mark.parametrize("spec", GRADIENT_SPECS, ids=spec_id)
+    def test_directional_derivatives_match_central_differences(self, spec):
+        rng = np.random.default_rng(83)
+        for m, n in ((2, 3), (3, 3), (4, 5)):
+            w = channel_with_zero_cells(rng, m, n)
+            q = family_off_channel_support(rng, w)
+            value, grad = _prior_objective(spec, w.rows, q.cols)
+            for _ in range(5):
+                p = rand_pmf(rng, m, floor=0.05).probs
+                g = grad(p)
+                assert value(p) == pytest.approx(_eval(spec, p, w.rows, q.cols), rel=1e-12, abs=1e-12)
+                for i in range(m):
+                    for j in range(i + 1, m):
+                        d = np.zeros(m)
+                        d[i], d[j] = 1.0, -1.0
+                        h = 1e-5 * min(p[i], p[j])
+                        fd = (_eval(spec, p + h * d, w.rows, q.cols)
+                              - _eval(spec, p - h * d, w.rows, q.cols)) / (2.0 * h)
+                        # relative, on a floor of 1e-3 for derivatives near 0
+                        assert abs((g[i] - g[j]) - fd) <= 1e-6 * max(abs(fd), 1e-3)
+
+    @pytest.mark.parametrize("spec", GRADIENT_SPECS, ids=spec_id)
+    def test_zero_coordinate_stays_zero(self, spec):
+        rng = np.random.default_rng(89)
+        for m, n in ((3, 2), (4, 4)):
+            w = channel_with_zero_cells(rng, m, n)
+            for zero in range(m):
+                p = rand_pmf(rng, m, floor=0.05).probs.copy()
+                p[zero] = 0.0
+                p /= p.sum()
+                for q in (q_step(spec, make_pmf(p), w).cols,
+                          family_off_channel_support(rng, w).cols):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        out = _p_numeric(spec, w.rows, q, p, 200, 0.5)
+                    assert out[zero] == 0.0
+                    make_pmf(out)  # a valid pmf
+                    assert _eval(spec, out, w.rows, q) >= _eval(spec, p, w.rows, q) - 1e-12
+
+    def test_input_with_infinite_loss_is_emptied(self):
+        # q gives input 1 no mass on an output its row reaches: under the
+        # log-loss convention G is -inf until that input has no mass
+        w = make_channel([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
+        q = np.array([[0.5, 0.5], [0.0, 0.3], [0.5, 0.2]])
+        for spec in (shannon_spec(), arimoto_a2_spec(0.5), hayashi_spec(0.5)):
+            p = np.full(3, 1.0 / 3.0)
+            assert _eval(spec, p, w.rows, q) == -math.inf
+            out = _p_numeric(spec, w.rows, q, p, 50, 0.5)
+            assert out[1] == 0.0
+            assert math.isfinite(_eval(spec, out, w.rows, q))
+
+    def test_public_step_rejects_boundary_start(self, bsc10):
+        spec = hayashi_spec(2.0)
+        fam = q_step(spec, uniform(2), bsc10)
+        with pytest.raises(DomainError):
+            p_step_numeric(spec, bsc10, fam, make_pmf([1.0, 0.0]))
+
+    def test_no_functional_evaluation_inside(self, monkeypatch):
+        rng = np.random.default_rng(97)
+        w = rand_channel(rng, 3, 3)
+        fam = random_family(rng, 3, 3, floor=0.05)
+        want = p_step_numeric(fb_spec(2.0), w, fam, uniform(3))
+
+        def forbidden(*args):
+            raise AssertionError("_eval called inside the prior step")
+
+        monkeypatch.setattr(variational, "_eval", forbidden)
+        got = p_step_numeric(fb_spec(2.0), w, fam, uniform(3))
+        assert got.probs.tobytes() == want.probs.tobytes()
