@@ -32,7 +32,6 @@ from .errors import (
     Diverged,
     DomainError,
     GenmiError,
-    MissingColumn,
     MixedSign,
     NegativeMass,
     NonFinite,
@@ -55,28 +54,22 @@ from .scoring import (
     ScoringRule,
     alpha_loss_rule,
     alpha_score_rule,
-    bayes_score,
     expected_score,
     identity_gain,
     log_loss_rule,
     log_score_rule,
     loss_from_core,
-    min_expected_core_loss,
     optimal_response,
     power_rule,
     pseudo_spherical_rule,
-    standard_rules,
 )
 from .simplex import (
     Channel,
-    Joint,
     Pmf,
     Posterior,
     alpha_tilt,
-    joint,
     make_channel,
     make_pmf,
-    p_norm,
     posterior,
     uniform,
 )
@@ -91,7 +84,6 @@ from .variational import (
     hayashi_spec,
     p_step_closed,
     p_step_numeric,
-    posterior_family,
     q_step,
     shannon_spec,
 )

@@ -17,7 +17,8 @@ capacity-achieving priors often give some inputs no mass, and an input
 the numeric ascent empties stays empty.
 
 The oracle maximizes the mutual information itself over a simplex grid
-(with golden-section refinement for binary inputs), touching none of the
+(with golden-section refinement for binary inputs).  It shares only the
+entropy kernel -- the measure's F and eta -- and touches none of the
 functional or update code, so it catches errors anywhere in that chain.
 """
 
@@ -28,10 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import mutual_information
+from .entropy import _core_values, _eta_values
 from .errors import Diverged, DimensionMismatch, DomainError, TooLarge
 from .simplex import Channel, Pmf, uniform
-from .variational import FunctionalSpec, _eval, _p_closed, _p_numeric, _q_cols
+from .variational import (
+    FunctionalSpec,
+    _check_numeric_settings,
+    _eval,
+    _p_closed,
+    _p_numeric,
+    _q_cols,
+)
 
 #: Largest simplex grid the oracle will enumerate.
 MAX_GRID_POINTS = 20_000_000
@@ -44,7 +52,8 @@ class SolverConfig:
     `epsilon` is the absolute objective-gain threshold (must lie in
     (0, 1)); `relative` switches to |gain| / max(1, |value|) as an
     opt-in.  `numeric_*` only matter for measures without a closed-form
-    prior update; `force_numeric` routes even closed-form measures
+    prior update, but must be usable for all (at least 1 round, a finite
+    positive step); `force_numeric` routes even closed-form measures
     through the numeric ascent (useful for cross-checks).
     """
 
@@ -62,6 +71,7 @@ class SolverConfig:
             raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
         if self.max_iter < 1:
             raise DomainError("max_iter must be a positive integer")
+        _check_numeric_settings(self.numeric_iters, self.numeric_step)
 
 
 @dataclass(frozen=True)
@@ -150,19 +160,16 @@ def brute_force_search(
     """Grid-search maximum and its location.
 
     Enumerates all priors with entries on a grid of the given resolution,
-    evaluates the measure's mutual information at each (vectorized per
-    measure family, never through the functional), and for binary inputs
-    refines the best grid cell by golden-section search.
+    evaluates the measure's mutual information at each (a block of grid
+    points at a time through the measure's own F and eta, never through
+    the functional), and for binary inputs refines the best grid cell by
+    golden-section search.
     """
     m = w.nx
     if m > 4:
         raise TooLarge(f"oracle handles at most 4 input symbols, got {m}")
     if not 1e-4 <= resolution <= 1e-1:
         raise DomainError(f"resolution must lie in [1e-4, 1e-1], got {resolution!r}")
-
-    if m == 1:
-        p = Pmf(np.array([1.0]))
-        return mutual_information(spec.pair, p, w).mi, p
 
     steps = max(1, round(1.0 / resolution))
     count = math.comb(steps + m - 1, m - 1)
@@ -215,52 +222,20 @@ def _grid_chunks(m: int, steps: int, chunk_rows: int):
 
 
 def _batch_mi(spec: FunctionalSpec, priors: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Mutual information of the spec's measure at a batch of priors.
+    """Mutual information of the spec's measure at a batch of priors (rows).
 
-    Direct per-measure formulas on stacked arrays; the generic path falls
-    back to looping over rows with the measure's own entropy pair.
+    eta(F(p)) - eta(sum_y p_Y(y) F(p_{X|Y=y})) for every row at once: the
+    pair's F reduces over axis 0, so the priors go in transposed and the
+    posterior columns as one (|X|, N, |Y|) block; outputs with no mass get
+    no weight.  UnsupportedSpec if the pair is not batched.
     """
-    kind = spec.kind
-    a = spec.alpha
+    pair = spec.pair
     p_y = priors @ w  # (N, ny)
-    cells = priors[:, :, None] * w[None, :, :]  # (N, nx, ny)
-    safe_py = np.where(p_y > 0.0, p_y, 1.0)
-    cols = cells / safe_py[:, None, :]  # posterior columns, junk where p_y = 0
-
-    if kind == "shannon":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h_x = -np.sum(np.where(priors > 0.0, priors * np.log(priors), 0.0), axis=1)
-            plogp = np.where(cols > 0.0, cols * np.log(cols), 0.0)
-        h_cols = -plogp.sum(axis=1)  # (N, ny)
-        h_xy = np.sum(np.where(p_y > 0.0, p_y * h_cols, 0.0), axis=1)
-        return h_x - h_xy
-
-    col_pow = np.sum(cols ** a, axis=1)  # sum_x cols^a, (N, ny)
-    prior_pow = np.sum(priors ** a, axis=1)  # (N,) = ||p||_a^a
-
-    if kind in ("arimoto_a1", "arimoto_a2"):
-        # h_x = (a/(1-a)) log ||p||_a; conditional averages the column norms
-        h_x = (1.0 / (1.0 - a)) * np.log(prior_pow)
-        avg = np.sum(np.where(p_y > 0.0, p_y * col_pow ** (1.0 / a), 0.0), axis=1)
-        return h_x - (a / (1.0 - a)) * np.log(avg)
-
-    if kind == "hayashi":
-        h_x = (1.0 / (1.0 - a)) * np.log(prior_pow)
-        avg = np.sum(np.where(p_y > 0.0, p_y * col_pow, 0.0), axis=1)
-        return h_x - (1.0 / (1.0 - a)) * np.log(avg)
-
-    if kind == "fb":
-        # h_x = -log ||p||_a^(a/(a-1)); conditional is -log of the averaged powers
-        h_x = -(1.0 / (a - 1.0)) * np.log(prior_pow)
-        avg = np.sum(np.where(p_y > 0.0, p_y * col_pow ** (1.0 / (a - 1.0)), 0.0), axis=1)
-        return h_x + np.log(avg)
-
-    # generic: per-row evaluation with the measure itself
-    out = np.empty(priors.shape[0])
-    chan = Channel(w)
-    for i in range(priors.shape[0]):
-        out[i] = mutual_information(spec.pair, Pmf(priors[i]), chan).mi
-    return out
+    cols = priors.T[:, :, None] * w[:, None, :]  # (nx, N, ny)
+    cols /= np.where(p_y > 0.0, p_y, 1.0)  # posterior columns, 0 where p_y = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        avg = np.where(p_y > 0.0, p_y * _core_values(pair, cols), 0.0).sum(axis=1)
+        return _eta_values(pair, _core_values(pair, priors.T)) - _eta_values(pair, avg)
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:

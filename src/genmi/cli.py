@@ -19,14 +19,7 @@ import time
 
 from . import __version__
 from .capacity import SolverConfig, brute_force_search, convergence_trace, solve
-from .entropy import (
-    EntropyPair,
-    arimoto_pair,
-    fehr_berens_pair,
-    hayashi_pair,
-    mutual_information,
-    shannon_pair,
-)
+from .entropy import mutual_information
 from .errors import DomainError, GenmiError, ParseError
 from .io import (
     format_float,
@@ -47,6 +40,7 @@ from .scoring import (
 )
 from .simplex import Pmf, make_pmf, uniform
 from .variational import (
+    FunctionalSpec,
     arimoto_a1_spec,
     arimoto_a2_spec,
     fb_spec,
@@ -54,7 +48,14 @@ from .variational import (
     shannon_spec,
 )
 
-MEASURES = ("shannon", "arimoto", "hayashi", "fehr-berens")
+#: --measure name -> spec constructor; `mi` uses the spec's pair, `capacity`
+#: its default algorithm (`--algorithm` may swap the arimoto form).
+SPECS = {
+    "shannon": shannon_spec,
+    "arimoto": arimoto_a2_spec,
+    "hayashi": hayashi_spec,
+    "fehr-berens": fb_spec,
+}
 
 RULES = {
     "log": log_score_rule,
@@ -149,7 +150,7 @@ def _add_channel_args(p: argparse.ArgumentParser, prior: bool = True) -> None:
 
 
 def _add_measure_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--measure", choices=MEASURES, required=True)
+    p.add_argument("--measure", choices=tuple(SPECS), required=True)
     p.add_argument("--alpha", type=float, default=None,
                    help="order for arimoto/hayashi/fehr-berens")
 
@@ -173,18 +174,17 @@ def _resolve_prior(args, nx: int, file_prior: Pmf | None) -> tuple[Pmf, str]:
     return p, format_vector(p.probs)
 
 
-def _measure_pair(measure: str, alpha: float | None) -> EntropyPair:
+def _check_alpha(measure: str, alpha: float | None) -> None:
     if measure == "shannon":
         if alpha is not None:
             raise DomainError("--alpha is not accepted for the shannon measure")
-        return shannon_pair()
-    if alpha is None:
+    elif alpha is None:
         raise DomainError(f"--alpha is required for the {measure} measure")
-    if measure == "arimoto":
-        return arimoto_pair(alpha)
-    if measure == "hayashi":
-        return hayashi_pair(alpha)
-    return fehr_berens_pair(alpha)
+
+
+def _measure_spec(measure: str, alpha: float | None) -> FunctionalSpec:
+    _check_alpha(measure, alpha)
+    return SPECS[measure]() if alpha is None else SPECS[measure](alpha)
 
 
 def _unit_scale(bits: bool) -> tuple[float, str]:
@@ -203,7 +203,7 @@ def _emit(tree: dict) -> None:
 def _cmd_mi(args) -> int:
     chan, file_prior = parse_channel_file(args.channel)
     prior, prior_echo = _resolve_prior(args, chan.nx, file_prior)
-    pair = _measure_pair(args.measure, args.alpha)
+    pair = _measure_spec(args.measure, args.alpha).pair
     scale, units = _unit_scale(args.bits)
     report = mutual_information(pair, prior, chan)
     _emit({
@@ -226,26 +226,16 @@ def _cmd_mi(args) -> int:
 
 
 def _capacity_plan(measure: str, alpha: float | None, algorithm: str):
-    """Resolve the (spec, force_numeric, recorded-name) for a capacity run."""
-    if measure == "shannon":
-        if alpha is not None:
-            raise DomainError("--alpha is not accepted for the shannon measure")
-        if algorithm in ("a1", "a2"):
-            raise DomainError(f"algorithm {algorithm!r} applies only to the arimoto measure")
-        force = algorithm == "numeric"
-        return shannon_spec(), force, ("numeric" if force else "closed")
-    if alpha is None:
-        raise DomainError(f"--alpha is required for the {measure} measure")
-    if measure == "arimoto":
-        if algorithm == "a1":
-            return arimoto_a1_spec(alpha), False, "a1"
-        if algorithm == "numeric":
-            return arimoto_a2_spec(alpha), True, "numeric"
-        return arimoto_a2_spec(alpha), False, "a2"
-    if algorithm in ("a1", "a2"):
+    """Resolve --algorithm into (spec, force_numeric, recorded name)."""
+    _check_alpha(measure, alpha)
+    if algorithm in ("a1", "a2") and measure != "arimoto":
         raise DomainError(f"algorithm {algorithm!r} applies only to the arimoto measure")
-    spec = hayashi_spec(alpha) if measure == "hayashi" else fb_spec(alpha)
-    return spec, False, "numeric"
+    if algorithm == "a1":
+        return arimoto_a1_spec(alpha), False, "a1"
+    spec = _measure_spec(measure, alpha)
+    if algorithm == "numeric" or not spec.has_closed_p_step:
+        return spec, algorithm == "numeric", "numeric"
+    return spec, False, "closed" if measure == "shannon" else "a2"
 
 
 def _cmd_capacity(args) -> int:
@@ -337,16 +327,7 @@ def _cmd_leakage(args) -> int:
 
 def _cmd_oracle(args) -> int:
     chan, _ = parse_channel_file(args.channel)
-    if args.measure == "shannon":
-        if args.alpha is not None:
-            raise DomainError("--alpha is not accepted for the shannon measure")
-        spec = shannon_spec()
-    else:
-        if args.alpha is None:
-            raise DomainError(f"--alpha is required for the {args.measure} measure")
-        spec = {"arimoto": arimoto_a2_spec,
-                "hayashi": hayashi_spec,
-                "fehr-berens": fb_spec}[args.measure](args.alpha)
+    spec = _measure_spec(args.measure, args.alpha)
     scale, units = _unit_scale(args.bits)
     value, best = brute_force_search(spec, chan, args.resolution)
     _emit({

@@ -17,33 +17,42 @@ For orders a > 1 the core is stored negated so that it stays concave and
 eta reads log(-t); the outer maps undo the sign, so all three order-a
 measures report the same unconditional value (the order-a entropy) while
 their conditional versions differ.
+
+The built-in cores reduce over axis 0, so one call evaluates a pmf or a
+stack of pmf columns of any trailing shape, and their outer maps act
+elementwise; the conditional entropy and the capacity oracle rely on both.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import BadAlpha, DimensionMismatch, DomainError
-from .simplex import Channel, Pmf, posterior
+from .errors import BadAlpha, DimensionMismatch, DomainError, UnsupportedSpec
+from .simplex import Channel, Pmf
 
 
 @dataclass(frozen=True)
 class EntropyPair:
     """A concave core with its gradient and a strictly increasing outer map.
 
+    `F` takes an array whose axis 0 runs over the alphabet and reduces over
+    that axis: a pmf gives one value, a matrix of pmf columns one value per
+    column, and so on for any trailing shape.  `eta` acts elementwise on
+    arrays as well as on floats.  The conditional entropy and the capacity
+    oracle call them that way and raise UnsupportedSpec for a pair whose F
+    or eta does not return one value per column or element.
     `eta_domain` is the open interval of arguments eta accepts; feeding it
     a value outside raises DomainError rather than silently flipping signs.
     `grad_f` is a subgradient of F, guaranteed on the simplex interior only.
     """
 
     name: str
-    F: Callable[[np.ndarray], float]
+    F: Callable[[np.ndarray], np.ndarray | float]
     grad_f: Callable[[np.ndarray], np.ndarray]
-    eta: Callable[[float], float]
+    eta: Callable[[np.ndarray | float], np.ndarray | float]
     eta_domain: tuple[float, float]
     alpha: float | None = None
 
@@ -53,7 +62,7 @@ class EntropyPair:
             raise DomainError(
                 f"{self.name}: core value {t:g} outside eta domain ({lo:g}, {hi:g})"
             )
-        return self.eta(t)
+        return float(self.eta(t))
 
 
 @dataclass(frozen=True)
@@ -65,9 +74,9 @@ class MiReport:
     mi: float
 
 
-def _shannon_core(p: np.ndarray) -> float:
-    mask = p > 0.0
-    return float(-np.sum(p[mask] * np.log(p[mask])))
+def _shannon_core(p: np.ndarray):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.sum(np.where(p > 0.0, p * np.log(p), 0.0), axis=0)
 
 
 def shannon_pair() -> EntropyPair:
@@ -76,7 +85,7 @@ def shannon_pair() -> EntropyPair:
         F=_shannon_core,
         grad_f=lambda p: -np.log(p) - 1.0,
         eta=lambda t: t,
-        eta_domain=(-math.inf, math.inf),
+        eta_domain=(-np.inf, np.inf),
     )
 
 
@@ -86,8 +95,8 @@ def arimoto_pair(alpha: float) -> EntropyPair:
     a = float(alpha)
     sign = 1.0 if a < 1.0 else -1.0
 
-    def F(p: np.ndarray) -> float:
-        return sign * float(np.sum(p ** a) ** (1.0 / a))
+    def F(p: np.ndarray):
+        return sign * np.sum(p ** a, axis=0) ** (1.0 / a)
 
     def grad_f(p: np.ndarray) -> np.ndarray:
         norm = np.sum(p ** a) ** (1.0 / a)
@@ -97,8 +106,8 @@ def arimoto_pair(alpha: float) -> EntropyPair:
         name=f"arimoto({a:g})",
         F=F,
         grad_f=grad_f,
-        eta=lambda t: (a / (1.0 - a)) * math.log(sign * t),
-        eta_domain=(0.0, math.inf) if a < 1.0 else (-math.inf, 0.0),
+        eta=lambda t: (a / (1.0 - a)) * np.log(sign * t),
+        eta_domain=(0.0, np.inf) if a < 1.0 else (-np.inf, 0.0),
         alpha=a,
     )
 
@@ -111,10 +120,10 @@ def hayashi_pair(alpha: float) -> EntropyPair:
 
     return EntropyPair(
         name=f"hayashi({a:g})",
-        F=lambda p: sign * float(np.sum(p ** a)),
+        F=lambda p: sign * np.sum(p ** a, axis=0),
         grad_f=lambda p: sign * a * p ** (a - 1.0),
-        eta=lambda t: (1.0 / (1.0 - a)) * math.log(sign * t),
-        eta_domain=(0.0, math.inf) if a < 1.0 else (-math.inf, 0.0),
+        eta=lambda t: (1.0 / (1.0 - a)) * np.log(sign * t),
+        eta_domain=(0.0, np.inf) if a < 1.0 else (-np.inf, 0.0),
         alpha=a,
     )
 
@@ -126,8 +135,8 @@ def fehr_berens_pair(alpha: float) -> EntropyPair:
         raise BadAlpha(f"fehr-berens requires order > 1, got {alpha:g}")
     a = float(alpha)
 
-    def F(p: np.ndarray) -> float:
-        return -float(np.sum(p ** a) ** (1.0 / (a - 1.0)))
+    def F(p: np.ndarray):
+        return -np.sum(p ** a, axis=0) ** (1.0 / (a - 1.0))
 
     def grad_f(p: np.ndarray) -> np.ndarray:
         s = np.sum(p ** a)
@@ -137,8 +146,8 @@ def fehr_berens_pair(alpha: float) -> EntropyPair:
         name=f"fehr-berens({a:g})",
         F=F,
         grad_f=grad_f,
-        eta=lambda t: -math.log(-t),
-        eta_domain=(-math.inf, 0.0),
+        eta=lambda t: -np.log(-t),
+        eta_domain=(-np.inf, 0.0),
         alpha=a,
     )
 
@@ -151,13 +160,16 @@ def entropy(pair: EntropyPair, p: Pmf) -> float:
 def conditional_entropy(pair: EntropyPair, p_x: Pmf, w: Channel) -> float:
     """Posterior-averaged entropy eta( sum_y p_Y(y) F(p_{X|Y=y}) ).
 
-    Outputs with zero marginal mass contribute nothing to the average.
+    F runs once, on the matrix of posterior columns.  Outputs with zero
+    marginal mass have no column and contribute nothing to the average.
     """
     if len(p_x) != w.nx:
         raise DimensionMismatch(f"prior has {len(p_x)} entries, channel has {w.nx} rows")
-    post = posterior(p_x, w)
-    avg = sum(post.p_y[y] * pair.F(post.cols[y].probs) for y in post.support)
-    return pair.eta_checked(float(avg))
+    cells = p_x.probs[:, None] * w.rows
+    p_y = cells.sum(axis=0)
+    sup = p_y > 0.0
+    f_cols = _core_values(pair, cells[:, sup] / p_y[sup])
+    return pair.eta_checked(float(np.sum(p_y[sup] * f_cols)))
 
 
 def mutual_information(pair: EntropyPair, p_x: Pmf, w: Channel) -> MiReport:
@@ -165,6 +177,31 @@ def mutual_information(pair: EntropyPair, p_x: Pmf, w: Channel) -> MiReport:
     h_x = entropy(pair, p_x)
     h_xy = conditional_entropy(pair, p_x, w)
     return MiReport(h_x=h_x, h_x_given_y=h_xy, mi=h_x - h_xy)
+
+
+def _core_values(pair: EntropyPair, cols: np.ndarray) -> np.ndarray:
+    """F of every column of `cols` (axis 0 over the alphabet), in one call."""
+    return _batched(pair, "F", pair.F, cols, cols.shape[1:])
+
+
+def _eta_values(pair: EntropyPair, t: np.ndarray) -> np.ndarray:
+    """eta of every element of `t`, in one call and without the domain check."""
+    return _batched(pair, "eta", pair.eta, t, t.shape)
+
+
+def _batched(pair: EntropyPair, name: str, fn, arg: np.ndarray, shape) -> np.ndarray:
+    """fn(arg) as a float array of the given shape, or UnsupportedSpec when
+    the pair's map does not follow the batched contract of EntropyPair."""
+    try:
+        out = np.asarray(fn(arg), dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise UnsupportedSpec(f"{pair.name}: {name} does not accept arrays ({exc})") from exc
+    if out.shape != tuple(shape):
+        raise UnsupportedSpec(
+            f"{pair.name}: {name} gave shape {out.shape} on input of shape {arg.shape}, "
+            f"expected {tuple(shape)}; F must reduce over axis 0 and eta act elementwise"
+        )
+    return out
 
 
 def shannon_mi(p_x: Pmf, w: Channel) -> float:

@@ -34,10 +34,6 @@ class DomainError(GenmiError):
     """A value falls outside the domain of the requested transform."""
 
 
-class MissingColumn(GenmiError):
-    """A response family lacks a distribution for a supported observation."""
-
-
 class MixedSign(GenmiError):
     """A gain takes both signs on the instance, so the log-ratio is undefined."""
 
@@ -47,7 +43,8 @@ class ZeroDenominator(GenmiError):
 
 
 class UnsupportedSpec(GenmiError):
-    """The requested closed-form update does not exist for this functional."""
+    """The requested closed-form update does not exist for this functional,
+    or an entropy pair's F or eta cannot be evaluated on arrays."""
 
 
 class TooLarge(GenmiError):

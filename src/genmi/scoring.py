@@ -19,19 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BadAlpha,
-    DimensionMismatch,
-    DomainError,
-    GenmiError,
-    MissingColumn,
-    NonFinite,
-)
-from .simplex import Channel, Pmf, alpha_tilt, posterior
+from .errors import BadAlpha, DimensionMismatch, DomainError, NonFinite
+from .simplex import Pmf, alpha_tilt
 
 #: Interior shift applied to q before evaluating core gradients.
 GRAD_MIX = 1e-12
@@ -105,28 +98,6 @@ def optimal_response(rule: ScoringRule, belief: Pmf) -> Pmf:
     return Pmf(rule.responder(belief.probs))
 
 
-def bayes_score(
-    rule: ScoringRule,
-    p_x: Pmf,
-    w: Channel,
-    q_family: Mapping[int, Pmf] | Sequence[Pmf],
-) -> float:
-    """Expected score of a per-output response family under the joint.
-
-    q_family must provide a pmf for every output with positive marginal
-    mass; with the rule's optimal responses this is the Bayes risk/gain.
-    """
-    post = posterior(p_x, w)
-    total = 0.0
-    for y in post.support:
-        try:
-            q = q_family[y]
-        except (KeyError, IndexError):
-            raise MissingColumn(f"no response provided for supported output {y}")
-        total += post.p_y[y] * expected_score(rule, post.cols[y], q)
-    return total
-
-
 def loss_from_core(
     F: Callable[[np.ndarray], float],
     grad_f: Callable[[np.ndarray], np.ndarray],
@@ -145,23 +116,6 @@ def loss_from_core(
     if not np.all(np.isfinite(out)):
         raise NonFinite("core gradient is not finite after interior mixing")
     return out
-
-
-def min_expected_core_loss(
-    F: Callable[[np.ndarray], float],
-    grad_f: Callable[[np.ndarray], np.ndarray],
-    p: Pmf,
-) -> float:
-    """E_p[l_F(X, p)], checked against F(p); the two must agree to 1e-8."""
-    losses = loss_from_core(F, grad_f, p)
-    value = float(p.probs @ losses)
-    target = F(p.probs)
-    if abs(value - target) > 1e-8:
-        raise GenmiError(
-            f"core-loss identity violated: E_p[l_F(X,p)] = {value:.12g} "
-            f"but F(p) = {target:.12g}"
-        )
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +200,6 @@ def alpha_score_rule(alpha: float) -> ScoringRule:
         lambda p: alpha_tilt(Pmf(p), a).probs,
         proper=False, c_of_g=a / (a - 1.0), alpha=a,
     )
-
-
-def standard_rules(alpha: float) -> dict[str, ScoringRule]:
-    """The rule catalog at a given order (the log rules ignore it)."""
-    return {
-        "log-score": log_score_rule(),
-        "log-loss": log_loss_rule(),
-        "pseudo-spherical": pseudo_spherical_rule(alpha),
-        "power": power_rule(alpha),
-        "alpha-loss": alpha_loss_rule(alpha),
-        "alpha-score": alpha_score_rule(alpha),
-    }
 
 
 def _checked_alpha(alpha: float) -> float:

@@ -1,4 +1,4 @@
-"""Finite probability distributions, channels, posteriors, tilts, and norms.
+"""Finite probability distributions, channels, posteriors, and tilts.
 
 All containers are immutable (frozen dataclasses over read-only float64
 arrays) and every operation is a pure function, so objects can be shared
@@ -99,23 +99,6 @@ class Channel:
 
 
 @dataclass(frozen=True)
-class Joint:
-    """Joint distribution over (x, y) as an |X| x |Y| cell matrix."""
-
-    cells: np.ndarray
-
-    def __post_init__(self):
-        c = _freeze(np.atleast_2d(self.cells))
-        if not np.all(np.isfinite(c)):
-            raise NonFinite("joint cells must be finite")
-        if np.any(c < 0.0):
-            raise DomainError("joint cells must be non-negative")
-        if abs(float(c.sum()) - 1.0) > SUM_TOL:
-            raise DomainError("joint cells must sum to 1 within 1e-9")
-        object.__setattr__(self, "cells", c)
-
-
-@dataclass(frozen=True)
 class Posterior:
     """Output marginal plus the posterior over X for each supported output.
 
@@ -127,12 +110,6 @@ class Posterior:
     p_y: Pmf
     cols: dict[int, Pmf]
     support: tuple[int, ...]
-
-    def col(self, y: int) -> Pmf:
-        try:
-            return self.cols[y]
-        except KeyError:
-            raise DomainError(f"output {y} has zero probability; no posterior defined")
 
 
 def make_pmf(values) -> Pmf:
@@ -186,13 +163,6 @@ def uniform(m: int) -> Pmf:
     return Pmf(np.full(m, 1.0 / m))
 
 
-def joint(p_x: Pmf, w: Channel) -> Joint:
-    """Joint distribution with cells p_x(x) * w(y|x)."""
-    if len(p_x) != w.nx:
-        raise DimensionMismatch(f"prior has {len(p_x)} entries, channel has {w.nx} rows")
-    return Joint(p_x.probs[:, None] * w.rows)
-
-
 def posterior(p_x: Pmf, w: Channel) -> Posterior:
     """Bayes inversion of (p_x, w): output marginal and per-output posteriors."""
     if len(p_x) != w.nx:
@@ -212,12 +182,6 @@ def alpha_tilt(p: Pmf, alpha: float) -> Pmf:
     if total <= 0.0 or not np.isfinite(total):
         raise NonFinite("tilt has no finite positive mass")
     return Pmf(w / total)
-
-
-def p_norm(p: Pmf, alpha: float) -> float:
-    """(sum_x p(x)**alpha)**(1/alpha); for alpha < 1 the quasi-norm, same formula."""
-    _check_alpha(alpha)
-    return float(np.sum(p.probs ** alpha) ** (1.0 / alpha))
 
 
 def _check_alpha(alpha: float) -> None:

@@ -11,9 +11,16 @@ response columns), the Hayashi measure, and the Fehr-Berens measure.
 The first Arimoto form is the one historical exception whose inner
 maximizer is the tilted posterior rather than the posterior itself.
 
+Each kind's loss is written once, in `_loss_cells`, as a table of
+l(x, q(.|y)) over the cells of q.  Evaluation sums joint * loss over the
+cells with joint mass; the prior step sums w * loss over each input's
+outputs, so that the expectation term is E = p . c; both then go through
+`_outer_value`, which holds each kind's outer expression.
+
 Conventions: a response that puts zero mass where the joint has positive
-mass drives the functional to -inf (the log-loss convention); evaluation
-never raises for such responses, it returns the -inf sentinel.
+mass drives the functional to -inf (the log-loss convention): the loss is
++inf there, so the expectation is too.  Evaluation never raises for such
+responses, it returns the -inf sentinel.
 """
 
 from __future__ import annotations
@@ -67,9 +74,6 @@ class QFamily:
     @property
     def ny(self) -> int:
         return self.cols.shape[1]
-
-    def col(self, y: int) -> Pmf:
-        return Pmf(self.cols[:, y])
 
     @staticmethod
     def from_columns(columns) -> "QFamily":
@@ -134,63 +138,42 @@ def eval_functional(spec: FunctionalSpec, p_x: Pmf, w: Channel, q: QFamily) -> f
 
 
 def _eval(spec: FunctionalSpec, p: np.ndarray, w: np.ndarray, q: np.ndarray) -> float:
+    # only cells with joint mass count: p(x) w(y|x) may underflow to 0 where
+    # q(x|y) = 0 too, and such a cell must not turn the sum into inf
     joint = p[:, None] * w
     mask = joint > 0.0
-    a = spec.alpha
-    kind = spec.kind
+    cells = _loss_cells(spec, q, mask.any(axis=0))
+    return _outer_value(spec, p, float(np.sum(joint[mask] * cells[mask])))
 
-    if kind == "shannon":
-        qm = q[mask]
-        if np.any(qm <= 0.0):
-            return -math.inf
-        pm = np.broadcast_to(p[:, None], joint.shape)[mask]
-        return float(np.sum(joint[mask] * (np.log(qm) - np.log(pm))))
 
-    if kind == "arimoto_a1":
-        qm = q[mask]
-        if a < 1.0 and np.any(qm == 0.0):
-            return -math.inf
-        e = float(np.sum(joint[mask] * qm ** ((a - 1.0) / a)))
-        return _outer_value(spec, p, e)
+def _loss_cells(spec: FunctionalSpec, q: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """The loss l(x, q(.|y)) at every cell (x, y) of the response family q.
 
-    if kind == "arimoto_a2":
-        col_norm = np.sum(q ** a, axis=0) ** (1.0 / a)
-        ratio = (q / col_norm[None, :])[mask]
-        if a < 1.0 and np.any(ratio == 0.0):
-            return -math.inf
-        e = float(np.sum(joint[mask] * ratio ** (a - 1.0)))
-        return _outer_value(spec, p, e)
-
-    if kind == "hayashi":
-        col_sum = np.sum(q ** a, axis=0)
-        qm = q[mask]
-        if a < 1.0 and np.any(qm == 0.0):
-            return -math.inf
-        bracket = a * qm ** (a - 1.0) - (a - 1.0) * np.broadcast_to(
-            col_sum[None, :], joint.shape
-        )[mask]
-        e = float(np.sum(joint[mask] * bracket))
-        return _outer_value(spec, p, e)
-
-    if kind == "fb":
-        col_sum = np.sum(q ** a, axis=0)
-        head = (1.0 / (a - 1.0)) * col_sum ** (1.0 / (a - 1.0))
-        scale = (a / (a - 1.0)) * col_sum ** ((2.0 - a) / (a - 1.0))
-        losses = head[None, :] - scale[None, :] * q ** (a - 1.0)
-        e = float(np.sum(joint[mask] * losses[mask]))
-        return _outer_value(spec, p, e)
-
+    Log-type losses are +inf where q is 0.  `used` marks the columns the
+    caller reads; the generic kind builds only those (and leaves 0 in the
+    rest), every other kind builds all of them.
+    """
+    kind, a = spec.kind, spec.alpha
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if kind == "shannon":
+            return -np.log(q)
+        if kind == "arimoto_a1":
+            return q ** ((a - 1.0) / a)
+        if kind == "arimoto_a2":
+            return (q / np.sum(q ** a, axis=0) ** (1.0 / a)) ** (a - 1.0)
+        if kind == "hayashi":
+            return a * q ** (a - 1.0) - (a - 1.0) * np.sum(q ** a, axis=0)
+        if kind == "fb":
+            col_sum = np.sum(q ** a, axis=0)
+            head = (1.0 / (a - 1.0)) * col_sum ** (1.0 / (a - 1.0))
+            scale = (a / (a - 1.0)) * col_sum ** ((2.0 - a) / (a - 1.0))
+            return head - scale * q ** (a - 1.0)
     if kind == "generic":
         pair = spec.pair
-        total = 0.0
-        for y in range(w.shape[1]):
-            col_mask = mask[:, y]
-            if not np.any(col_mask):
-                continue
-            losses = loss_from_core(pair.F, pair.grad_f, q[:, y])
-            total += float(np.sum(joint[col_mask, y] * losses[col_mask]))
-        return _outer_value(spec, p, total)
-
+        cells = np.zeros_like(q)
+        for y in np.flatnonzero(used):
+            cells[:, y] = loss_from_core(pair.F, pair.grad_f, q[:, y])
+        return cells
     raise UnsupportedSpec(f"unknown functional kind {kind!r}")
 
 
@@ -212,7 +195,7 @@ def _outer_value(spec: FunctionalSpec, p: np.ndarray, e: float) -> float:
     lo, hi = pair.eta_domain
     if not lo < e < hi:
         return -math.inf
-    return head - pair.eta(e)
+    return head - float(pair.eta(e))
 
 
 def _norm(p: np.ndarray, a: float) -> float:
@@ -317,7 +300,16 @@ def p_step_numeric(
         raise DimensionMismatch("response family shape must match the channel")
     if np.any(p_init.probs <= 0.0):
         raise DomainError("numeric prior update needs a strictly interior start")
+    _check_numeric_settings(iters, step)
     return Pmf(_p_numeric(spec, w.rows, q.cols, p_init.probs, iters, step))
+
+
+def _check_numeric_settings(iters: int, step: float) -> None:
+    """Reject ascent settings that would leave the prior where it is."""
+    if not iters >= 1:
+        raise DomainError(f"numeric ascent needs at least 1 round per prior step, got {iters!r}")
+    if not 0.0 < step < math.inf:
+        raise DomainError(f"numeric ascent step must be finite and positive, got {step!r}")
 
 
 def _p_numeric(spec: FunctionalSpec, w, qc, p, iters: int, step: float) -> np.ndarray:
@@ -398,29 +390,9 @@ def _input_coeffs(spec: FunctionalSpec, w: np.ndarray, q: np.ndarray):
     """Per-input coefficients c of the expectation term, E = p . c, with the
     inputs whose coefficient is infinite flagged (and their c set to 0).
     c_x sums w(y|x) times the loss at q over the outputs with w(y|x) > 0."""
-    kind, a = spec.kind, spec.alpha
     pos = w > 0.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if kind == "shannon":
-            cells = -np.log(q)
-        elif kind == "arimoto_a1":
-            cells = q ** ((a - 1.0) / a)
-        elif kind == "arimoto_a2":
-            cells = (q / np.sum(q ** a, axis=0) ** (1.0 / a)) ** (a - 1.0)
-        elif kind == "hayashi":
-            cells = a * q ** (a - 1.0) - (a - 1.0) * np.sum(q ** a, axis=0)
-        elif kind == "fb":
-            col_sum = np.sum(q ** a, axis=0)
-            head = (1.0 / (a - 1.0)) * col_sum ** (1.0 / (a - 1.0))
-            scale = (a / (a - 1.0)) * col_sum ** ((2.0 - a) / (a - 1.0))
-            cells = head - scale * q ** (a - 1.0)
-        elif kind == "generic":
-            pair = spec.pair
-            cells = np.zeros_like(q)
-            for y in np.flatnonzero(pos.any(axis=0)):
-                cells[:, y] = loss_from_core(pair.F, pair.grad_f, q[:, y])
-        else:
-            raise UnsupportedSpec(f"unknown functional kind {kind!r}")
+    cells = _loss_cells(spec, q, pos.any(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
         c = np.where(pos, w * cells, 0.0).sum(axis=1)
     bad = ~np.isfinite(c)
     return np.where(bad, 0.0, c), bad
@@ -431,8 +403,3 @@ def _eta_slope(pair: EntropyPair, t: float) -> float:
     lo, hi = pair.eta_domain
     h = min(1e-6 * (abs(t) or 1.0), 0.5 * (t - lo), 0.5 * (hi - t))
     return (pair.eta(t + h) - pair.eta(t - h)) / (2.0 * h)
-
-
-def posterior_family(p_x: Pmf, w: Channel) -> QFamily:
-    """The posterior columns as a total response family (p_x where undefined)."""
-    return q_step(shannon_spec(), p_x, w)

@@ -9,15 +9,19 @@ import pytest
 
 from genmi import (
     DomainError,
+    EntropyPair,
     SolverConfig,
     TooLarge,
+    UnsupportedSpec,
     arimoto_a1_spec,
     arimoto_a2_spec,
     brute_force_capacity,
     brute_force_search,
+    conditional_entropy,
     convergence_trace,
     eval_functional,
     fb_spec,
+    generic_spec,
     hayashi_spec,
     make_channel,
     make_pmf,
@@ -25,14 +29,16 @@ from genmi import (
     p_step_closed,
     p_step_numeric,
     q_step,
+    shannon_pair,
     shannon_spec,
     solve,
     uniform,
 )
-from genmi.capacity import _grid_chunks
+from genmi import capacity
+from genmi.capacity import _batch_mi, _grid_chunks
 from genmi.io import parse_channel_text, random_channel_text
 
-from conftest import binary_entropy, rand_channel
+from conftest import SCALAR_ONLY_PAIRS, binary_entropy, rand_channel
 
 ALPHAS = (0.5, 2.0, 5.0)
 
@@ -175,6 +181,18 @@ class TestTraceAndConfig:
             with pytest.raises(DomainError):
                 SolverConfig(spec=shannon_spec(), epsilon=bad)
 
+    @pytest.mark.parametrize("step,iters", [(0.0, 200), (-1.0, 200), (math.nan, 200),
+                                            (math.inf, 200), (0.5, 0), (0.5, -5)])
+    def test_numeric_settings_validation(self, step, iters):
+        # each of these would leave the prior unchanged (or, for an infinite
+        # step, never finish a round), and the run would report convergence
+        with pytest.raises(DomainError):
+            SolverConfig(spec=hayashi_spec(2.0), numeric_step=step, numeric_iters=iters)
+        w = bsc(0.1)
+        with pytest.raises(DomainError):
+            p_step_numeric(hayashi_spec(2.0), w, q_step(hayashi_spec(2.0), uniform(2), w),
+                           uniform(2), iters=iters, step=step)
+
     def test_interior_start_required(self):
         cfg = SolverConfig(spec=shannon_spec(), p0=make_pmf([1.0, 0.0]))
         with pytest.raises(DomainError):
@@ -222,6 +240,11 @@ class TestOracle:
             brute_force_capacity(shannon_spec(), bsc(0.1), 1e-5)
         with pytest.raises(DomainError):
             brute_force_capacity(shannon_spec(), bsc(0.1), 0.5)
+
+    def test_single_input(self):
+        val, best = brute_force_search(hayashi_spec(0.5), make_channel([[0.2, 0.8]]), 1e-2)
+        assert val == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_array_equal(best.probs, [1.0])
 
     def test_three_input_grid(self):
         w = make_channel([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
@@ -331,3 +354,79 @@ class TestOracleGrid:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def zero_mass_column_channel():
+    rows = np.random.default_rng(79).random((3, 4))
+    rows[:, 1] = 0.0  # no input reaches output 1
+    rows[0, 2] = rows[2, 3] = 0.0  # output 3 has no mass when only input 2 does
+    return make_channel(rows)
+
+
+KERNEL_SPECS = [shannon_spec()] + [
+    make(a) for a in (0.5, 2.0, 3.0)
+    for make in (arimoto_a1_spec, arimoto_a2_spec, hayashi_spec)
+] + [fb_spec(2.0), fb_spec(3.0)]
+
+
+class TestBatchMi:
+    """The oracle's batched H-MI is the measure's own mutual information."""
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS,
+                             ids=lambda s: f"{s.kind}-{s.alpha}" if s.alpha else s.kind)
+    def test_matches_mutual_information_row_by_row(self, spec):
+        rng = np.random.default_rng(83)
+        for w in (zero_mass_column_channel(), rand_channel(rng, 3, 3), rand_channel(rng, 3, 5)):
+            grid = _lex_grid(3, 6)  # has rows with one and with two exact zeros
+            priors = np.vstack([grid, rng.dirichlet(np.ones(3), size=5)])
+            got = _batch_mi(spec, priors, w.rows)
+            for p, value in zip(priors, got):
+                want = mutual_information(spec.pair, make_pmf(p), w).mi
+                assert abs(value - want) <= 1e-12
+
+    def test_scalar_only_pair_is_unsupported(self):
+        w = zero_mass_column_channel()
+        for pair in SCALAR_ONLY_PAIRS:
+            with pytest.raises(UnsupportedSpec):
+                brute_force_search(generic_spec(pair), w, 1e-1)
+
+    def test_scalar_only_eta_is_unsupported(self):
+        pair = shannon_pair()
+        scalar_eta = EntropyPair(name="scalar-eta", F=pair.F, grad_f=pair.grad_f,
+                                 eta=lambda t: math.log(math.exp(t)),
+                                 eta_domain=pair.eta_domain)
+        w = zero_mass_column_channel()
+        assert conditional_entropy(scalar_eta, uniform(3), w) == pytest.approx(
+            conditional_entropy(pair, uniform(3), w), abs=1e-12)
+        with pytest.raises(UnsupportedSpec):
+            brute_force_search(generic_spec(scalar_eta), w, 1e-1)
+
+
+FORBIDDEN = {"_eval", "_loss_cells", "_input_coeffs", "_q_cols", "_p_closed", "_p_numeric",
+             "q_step", "eval_functional", "p_step_closed", "p_step_numeric", "variational"}
+
+
+def _names(code):
+    """Global and attribute names a code object and its nested code refer to."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _names(const)
+    return names
+
+
+def test_oracle_shares_no_functional_or_step_code():
+    # the oracle may share the entropy kernel, never the functional or the
+    # updates: that independence is what lets it check them
+    seen = set()
+    todo = [capacity.brute_force_search, capacity._batch_mi]
+    while todo:
+        fn = todo.pop()
+        names = _names(fn.__code__)
+        assert not names & FORBIDDEN, (fn.__name__, names & FORBIDDEN)
+        for name in names - seen:
+            seen.add(name)
+            target = getattr(capacity, name, None)
+            if getattr(target, "__module__", None) == "genmi.capacity" and hasattr(target, "__code__"):
+                todo.append(target)
+    assert {"_batch_mi", "_grid_chunks", "_golden_max"} <= seen

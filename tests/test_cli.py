@@ -80,6 +80,18 @@ def test_alpha_validation():
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize("flag,value", [("--numeric-step", "0"), ("--numeric-step", "-1"),
+                                        ("--numeric-step", "nan"), ("--numeric-iters", "0"),
+                                        ("--numeric-iters", "-5")])
+def test_degenerate_numeric_settings_are_domain_errors(flag, value):
+    # each leaves the prior where it starts, which used to print `converged: true`
+    proc = run_cli(["capacity", "fixtures/asym22.chan", "--measure", "hayashi", "--alpha", "2",
+                    flag, value])
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert b"error: DomainError: numeric ascent" in proc.stderr
+
+
 def test_bad_prior_length_is_domain_error():
     proc = run_cli(["mi", "fixtures/bsc10.chan", "--measure", "shannon",
                     "--prior", "0.2,0.3,0.5"])

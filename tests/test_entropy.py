@@ -9,6 +9,8 @@ from genmi import (
     BadAlpha,
     DomainError,
     EntropyPair,
+    Pmf,
+    UnsupportedSpec,
     arimoto_mi,
     arimoto_pair,
     conditional_entropy,
@@ -25,7 +27,7 @@ from genmi import (
     uniform,
 )
 
-from conftest import binary_entropy, rand_channel, rand_pmf
+from conftest import SCALAR_ONLY_PAIRS, binary_entropy, rand_channel, rand_pmf
 
 ALL_ALPHAS = (0.3, 0.5, 2.0, 5.0)
 
@@ -117,6 +119,43 @@ class TestConditional:
         assert val == pytest.approx(binary_entropy(0.1), abs=1e-12)
         assert val == pytest.approx(0.325083, abs=1e-6)
 
+    def test_zero_mass_output_contributes_nothing(self):
+        # output 1 is reached by no input, output 3 only by the input the prior leaves out
+        rows = np.array([[0.2, 0.0, 0.8, 0.0], [0.6, 0.0, 0.4, 0.0], [0.1, 0.0, 0.1, 0.8]])
+        p = make_pmf([0.25, 0.75, 0.0])
+        cells = p.probs[:, None] * rows
+        p_y = cells.sum(axis=0)
+        for a in ALL_ALPHAS:
+            for pair in all_pairs(a):
+                # by hand: the average of F over the posteriors of outputs 0 and 2
+                avg = sum(p_y[y] * pair.F(cells[:, y] / p_y[y]) for y in (0, 2))
+                val = conditional_entropy(pair, p, make_channel(rows))
+                assert val == pytest.approx(pair.eta_checked(avg), abs=1e-12)
+                kept = conditional_entropy(pair, p, make_channel(rows[:, [0, 2, 3]]))
+                assert val == pytest.approx(kept, abs=1e-12)
+
+    def test_one_core_call_and_no_pmf_per_column(self, monkeypatch):
+        calls = []
+        base = shannon_pair()
+        counting = EntropyPair(name="counting", F=lambda p: calls.append(p.shape) or base.F(p),
+                               grad_f=base.grad_f, eta=base.eta, eta_domain=base.eta_domain)
+        w = rand_channel(np.random.default_rng(37), 3, 5)
+        p = make_pmf([0.2, 0.3, 0.5])
+        made = []
+        init = Pmf.__post_init__
+        monkeypatch.setattr(Pmf, "__post_init__", lambda self: made.append(1) or init(self))
+        val = conditional_entropy(counting, p, w)
+        assert calls == [(3, 5)] and made == []
+        assert val == pytest.approx(conditional_entropy(base, p, w), abs=0)
+
+    def test_scalar_only_core_is_unsupported(self, bsc10, uniform2):
+        for pair in SCALAR_ONLY_PAIRS:
+            entropy(pair, uniform2)  # a single pmf is fine
+            with pytest.raises(UnsupportedSpec):
+                conditional_entropy(pair, uniform2, bsc10)
+            with pytest.raises(UnsupportedSpec):
+                mutual_information(pair, uniform2, bsc10)
+
 
 class TestMutualInformation:
     def test_independent_is_zero(self):
@@ -172,6 +211,33 @@ class TestMutualInformation:
                     assert fehr_berens_mi(a, p, w) == pytest.approx(
                         mutual_information(fehr_berens_pair(a), p, w).mi, abs=1e-12
                     )
+
+
+class TestArimotoCoreNorm:
+    """|F| of the arimoto pair is the order-a (quasi-)norm ||p||_a."""
+
+    def test_point_mass(self):
+        for a in (0.25, 3.0):
+            assert abs(arimoto_pair(a).F(make_pmf([0, 1, 0]).probs)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_uniform_closed_form(self):
+        for m in (2, 3, 5):
+            for a in (0.5, 2.0, 4.0):
+                val = abs(arimoto_pair(a).F(uniform(m).probs))
+                assert val == pytest.approx(m ** (1 / a - 1), abs=1e-12)
+
+    def test_direct_value(self):
+        val = arimoto_pair(2.0).F(np.array([0.9, 0.1]))
+        assert val == pytest.approx(-math.sqrt(0.82), abs=1e-12)
+        assert val == pytest.approx(-0.905539, abs=1e-6)
+
+    def test_non_increasing_in_order(self):
+        rng = np.random.default_rng(13)
+        grid = (0.25, 0.5, 2.0, 4.0)
+        for _ in range(100):
+            p = rand_pmf(rng, int(rng.integers(2, 6))).probs
+            norms = [abs(arimoto_pair(a).F(p)) for a in grid]
+            assert all(norms[i] >= norms[i + 1] - 1e-12 for i in range(len(norms) - 1))
 
 
 class TestConstructors:

@@ -7,14 +7,13 @@ import pytest
 
 from genmi import (
     BadAlpha,
-    MissingColumn,
     Pmf,
     ScoringRule,
     alpha_loss_rule,
     alpha_score_rule,
     alpha_tilt,
     arimoto_pair,
-    bayes_score,
+    evsi_scoring,
     expected_score,
     fehr_berens_pair,
     hayashi_pair,
@@ -24,19 +23,22 @@ from genmi import (
     loss_from_core,
     make_channel,
     make_pmf,
-    min_expected_core_loss,
     optimal_response,
     posterior,
     power_rule,
     pseudo_spherical_rule,
     shannon_pair,
-    standard_rules,
     uniform,
 )
 
 from conftest import binary_entropy, rand_channel, rand_pmf
 
 ALPHAS = (0.5, 2.0, 5.0)
+
+
+def all_rules(alpha):
+    return [log_score_rule(), log_loss_rule(), pseudo_spherical_rule(alpha),
+            power_rule(alpha), alpha_loss_rule(alpha), alpha_score_rule(alpha)]
 
 
 def golden_section(f, lo, hi):
@@ -115,33 +117,32 @@ class TestOptimalResponse:
 
     def test_uniform_belief_fixed_for_all_rules(self):
         u = uniform(3)
-        for rule in standard_rules(2.0).values():
+        for rule in all_rules(2.0):
             np.testing.assert_allclose(optimal_response(rule, u).probs, u.probs, atol=1e-12)
 
 
-class TestBayesScore:
+def posterior_score(rule, p, w, family):
+    """sum_y p_Y(y) E_{X|Y=y}[score(X, family[y])] over the supported outputs."""
+    post = posterior(p, w)
+    return sum(post.p_y[y] * expected_score(rule, post.cols[y], family[y]) for y in post.support)
+
+
+class TestPosteriorExpectedScore:
     def test_log_score_at_posterior_is_negated_equivocation(self, bsc10, uniform2):
-        post = posterior(uniform2, bsc10)
-        val = bayes_score(log_score_rule(), uniform2, bsc10, post.cols)
+        val = evsi_scoring(log_score_rule(), uniform2, bsc10).posterior_value
         assert val == pytest.approx(-binary_entropy(0.1), abs=1e-12)
 
     def test_log_loss_at_posterior(self, bsc10, uniform2):
-        post = posterior(uniform2, bsc10)
-        val = bayes_score(log_loss_rule(), uniform2, bsc10, post.cols)
+        val = evsi_scoring(log_loss_rule(), uniform2, bsc10).posterior_value
         assert val == pytest.approx(binary_entropy(0.1), abs=1e-12)
         assert val == pytest.approx(0.325083, abs=1e-6)
 
     def test_constant_response_on_independent_channel(self):
         p = make_pmf([0.3, 0.7])
         w = make_channel([[0.5, 0.5], [0.5, 0.5]])
-        family = {0: p, 1: p}
-        val = bayes_score(log_loss_rule(), p, w, family)
+        val = posterior_score(log_loss_rule(), p, w, {0: p, 1: p})
         shannon = -(0.3 * math.log(0.3) + 0.7 * math.log(0.7))
         assert val == pytest.approx(shannon, abs=1e-12)
-
-    def test_missing_column(self, bsc10, uniform2):
-        with pytest.raises(MissingColumn):
-            bayes_score(log_loss_rule(), uniform2, bsc10, {0: uniform2})
 
 
 class TestProperness:
@@ -316,19 +317,15 @@ class TestCoreLoss:
                 losses = loss_from_core(pair.F, pair.grad_f, q)
                 np.testing.assert_allclose(losses, expected, atol=1e-8)
 
-    def test_min_expected_core_loss_values(self):
-        shannon = shannon_pair()
-        assert min_expected_core_loss(shannon.F, shannon.grad_f, make_pmf([0.5, 0.5])) == (
-            pytest.approx(math.log(2), abs=1e-10)
-        )
-        hay = hayashi_pair(2.0)
-        assert min_expected_core_loss(hay.F, hay.grad_f, make_pmf([0.6, 0.4])) == (
-            pytest.approx(-0.52, abs=1e-10)
-        )
-        fb = fehr_berens_pair(2.0)
-        assert min_expected_core_loss(fb.F, fb.grad_f, make_pmf([0.9, 0.1])) == (
-            pytest.approx(-0.82, abs=1e-10)
-        )
+    def test_expected_core_loss_at_belief_values(self):
+        # E_p[l_F(X, p)] = F(p), at values worked out by hand
+        for pair, p, want in ((shannon_pair(), [0.5, 0.5], math.log(2)),
+                              (hayashi_pair(2.0), [0.6, 0.4], -0.52),
+                              (fehr_berens_pair(2.0), [0.9, 0.1], -0.82)):
+            p = make_pmf(p)
+            assert float(p.probs @ loss_from_core(pair.F, pair.grad_f, p)) == (
+                pytest.approx(want, abs=1e-10)
+            )
 
     def test_core_loss_is_proper(self):
         rng = np.random.default_rng(83)
@@ -344,8 +341,8 @@ class TestCoreLoss:
 
 
 class TestCatalog:
-    def test_members_and_constants(self):
-        rules = standard_rules(2.0)
+    def test_rule_constants(self):
+        rules = {rule.name: rule for rule in all_rules(2.0)}
         assert set(rules) == {
             "log-score", "log-loss", "pseudo-spherical", "power",
             "alpha-loss", "alpha-score",

@@ -1,4 +1,4 @@
-"""Distribution, channel, posterior, tilt, and norm primitives."""
+"""Distribution, channel, posterior, and tilt primitives."""
 
 import math
 
@@ -16,10 +16,8 @@ from genmi import (
     NegativeMass,
     NonFinite,
     alpha_tilt,
-    joint,
     make_channel,
     make_pmf,
-    p_norm,
     posterior,
     uniform,
 )
@@ -127,25 +125,6 @@ class TestChannelRows:
             DomainError, "pmf entries must sum to 1 within 1e-9")
 
 
-class TestJoint:
-    def test_point_mass_selects_row(self, bsc10):
-        j = joint(make_pmf([1, 0]), bsc10)
-        np.testing.assert_allclose(j.cells, [[0.9, 0.1], [0.0, 0.0]], atol=0)
-
-    def test_identity_channel_gives_diagonal(self):
-        j = joint(make_pmf([0.5, 0.5]), make_channel(np.eye(2)))
-        np.testing.assert_allclose(j.cells, np.diag([0.5, 0.5]), atol=0)
-
-    def test_bsc_product(self, bsc10, uniform2):
-        # direct product oracle: cells[x][y] = p(x) w(y|x)
-        j = joint(uniform2, bsc10)
-        np.testing.assert_allclose(j.cells, [[0.45, 0.05], [0.05, 0.45]], atol=1e-15)
-
-    def test_dimension_mismatch(self, bsc10):
-        with pytest.raises(DimensionMismatch):
-            joint(make_pmf([1, 1, 1]), bsc10)
-
-
 class TestPosterior:
     def test_identity_channel(self, uniform2):
         post = posterior(uniform2, make_channel(np.eye(2)))
@@ -165,6 +144,16 @@ class TestPosterior:
         np.testing.assert_allclose(post.p_y.probs, [0.5, 0.5], atol=1e-15)
         np.testing.assert_allclose(post.cols[0].probs, [0.9, 0.1], atol=1e-12)
         np.testing.assert_allclose(post.cols[1].probs, [0.1, 0.9], atol=1e-12)
+
+    def test_point_mass_prior_selects_row(self, bsc10):
+        post = posterior(make_pmf([1, 0]), bsc10)
+        np.testing.assert_allclose(post.p_y.probs, [0.9, 0.1], atol=0)
+        for y in post.support:
+            np.testing.assert_allclose(post.cols[y].probs, [1.0, 0.0], atol=0)
+
+    def test_dimension_mismatch(self, bsc10):
+        with pytest.raises(DimensionMismatch):
+            posterior(make_pmf([1, 1, 1]), bsc10)
 
     def test_unsupported_output_excluded(self):
         p = make_pmf([1.0, 0.0])
@@ -216,30 +205,3 @@ class TestAlphaTilt:
         for a in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(BadAlpha):
                 alpha_tilt(p, a)
-
-
-class TestPNorm:
-    def test_point_mass(self):
-        for a in (0.25, 1.0, 3.0):
-            assert p_norm(make_pmf([0, 1, 0]), a) == pytest.approx(1.0, abs=1e-12)
-
-    def test_uniform_closed_form(self):
-        for m in (2, 3, 5):
-            for a in (0.5, 2.0, 4.0):
-                assert p_norm(uniform(m), a) == pytest.approx(m ** (1 / a - 1), abs=1e-12)
-
-    def test_direct_value(self):
-        assert p_norm(make_pmf([0.9, 0.1]), 2.0) == pytest.approx(math.sqrt(0.82), abs=1e-12)
-        assert p_norm(make_pmf([0.9, 0.1]), 2.0) == pytest.approx(0.905539, abs=1e-6)
-
-    def test_non_increasing_in_order(self):
-        rng = np.random.default_rng(13)
-        grid = (0.25, 0.5, 1.0, 2.0, 4.0)
-        for _ in range(100):
-            p = rand_pmf(rng, int(rng.integers(2, 6)))
-            norms = [p_norm(p, a) for a in grid]
-            assert all(norms[i] >= norms[i + 1] - 1e-12 for i in range(len(norms) - 1))
-
-    def test_bad_order(self):
-        with pytest.raises(BadAlpha):
-            p_norm(make_pmf([0.5, 0.5]), -2.0)

@@ -8,6 +8,7 @@ import pytest
 
 from genmi import (
     DomainError,
+    Pmf,
     QFamily,
     UnsupportedSpec,
     alpha_tilt,
@@ -21,13 +22,11 @@ from genmi import (
     generic_spec,
     hayashi_pair,
     hayashi_spec,
-    joint,
     make_channel,
     make_pmf,
     mutual_information,
     p_step_closed,
     p_step_numeric,
-    posterior_family,
     q_step,
     shannon_pair,
     shannon_spec,
@@ -82,7 +81,7 @@ class TestEvalFunctional:
             p = rand_pmf(rng, m, floor=1e-3)
             w = rand_channel(rng, m, n, floor=1e-3)
             q = random_family(rng, m, n)
-            cells = joint(p, w).cells
+            cells = p.probs[:, None] * w.rows
             expected = sum(
                 cells[x, y] * math.log(q.cols[x, y] / p[x])
                 for x in range(m) for y in range(n) if cells[x, y] > 0
@@ -108,6 +107,24 @@ class TestEvalFunctional:
                     lhs = eval_functional(gen, p, w, q)
                     rhs = eval_functional(spec, p, w, q)
                     assert lhs == pytest.approx(rhs, abs=1e-7)
+
+
+class TestSubnormalPrior:
+    """p(x) w(y|x) may underflow to 0 with p(x) > 0; q_step then gives that
+    cell q = 0 too, and the cell has no joint mass, so it must not count."""
+
+    SPECS = (shannon_spec(), arimoto_a1_spec(0.5), arimoto_a2_spec(0.5), hayashi_spec(0.5),
+             arimoto_a1_spec(2.0), arimoto_a2_spec(2.0), hayashi_spec(2.0), fb_spec(2.0))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.alpha}")
+    def test_value_at_q_step_is_finite_mi(self, spec):
+        p = Pmf(np.array([5e-324, 0.4, 0.6]))
+        # every w(y|0) is below 1/2, so 5e-324 * w(y|0) rounds to 0
+        w = make_channel([[0.2, 0.35, 0.45], [0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
+        assert not np.any(p.probs[0] * w.rows[0])
+        value = eval_functional(spec, p, w, q_step(spec, p, w))
+        assert math.isfinite(value)
+        assert value == pytest.approx(mutual_information(spec.pair, p, w).mi, abs=1e-12)
 
 
 class TestVariationalIdentity:
@@ -163,16 +180,16 @@ class TestQFamilyValidation:
         with pytest.raises(NonFinite):
             QFamily(np.array([[-0.1, 0.5], [1.1, 0.5]]))
 
-    def test_column_accessor(self, bsc10, uniform2):
-        fam = posterior_family(uniform2, bsc10)
-        np.testing.assert_allclose(fam.col(0).probs, [0.9, 0.1], atol=1e-12)
-
 
 class TestQStep:
     def test_shannon_identity_channel_point_masses(self):
         spec = shannon_spec()
         fam = q_step(spec, uniform(2), make_channel(np.eye(2)))
         np.testing.assert_allclose(fam.cols, np.eye(2), atol=1e-12)
+
+    def test_shannon_bsc_columns_are_posteriors(self, bsc10, uniform2):
+        fam = q_step(shannon_spec(), uniform2, bsc10)
+        np.testing.assert_allclose(fam.cols[:, 0], [0.9, 0.1], atol=1e-12)
 
     def test_a1_near_one_approaches_posterior(self, bsc10, uniform2):
         fam = q_step(arimoto_a1_spec(1.0 + 1e-6), uniform2, bsc10)
