@@ -1,11 +1,15 @@
 """Alternating-maximization capacity solver and its brute-force oracle.
 
 The solver alternates exact inner maximization over response families
-with outer maximization over priors (closed-form where available,
-otherwise a safeguarded exponentiated-gradient ascent on the analytic
-gradient), tracking the objective after each full round.  It stops when
-the objective gain drops below the threshold or the iteration budget
-runs out; because both half-steps are (inexact but safeguarded)
+with outer maximization over priors, tracking the objective after each
+full round.  The outer step is exact for every built-in measure (a
+closed form for Shannon and Arimoto, a root-found KKT point for Hayashi
+and Fehr-Berens); the generic functional, or a solve with
+`force_numeric`, takes a safeguarded exponentiated-gradient ascent on
+the analytic gradient instead.  Each iteration builds one loss-cell
+table, from which it reads both the objective and the coefficients of
+the next prior step.  It stops when the objective gain drops below the
+threshold or the iteration budget runs out; because both half-steps are
 maximizations, the trace can never properly decrease -- a decrease
 beyond 1e-8 is reported as an internal bug.
 
@@ -33,10 +37,14 @@ from .entropy import _core_values, _eta_values
 from .errors import Diverged, DimensionMismatch, DomainError, TooLarge
 from .simplex import Channel, Pmf, uniform
 from .variational import (
+    _QUIET,
     FunctionalSpec,
     _check_numeric_settings,
-    _eval,
-    _p_closed,
+    _coeffs,
+    _expectation,
+    _loss_cells,
+    _outer_value,
+    _p_exact,
     _p_numeric,
     _q_cols,
 )
@@ -51,10 +59,11 @@ class SolverConfig:
 
     `epsilon` is the absolute objective-gain threshold (must lie in
     (0, 1)); `relative` switches to |gain| / max(1, |value|) as an
-    opt-in.  `numeric_*` only matter for measures without a closed-form
-    prior update, but must be usable for all (at least 1 round, a finite
-    positive step); `force_numeric` routes even closed-form measures
-    through the numeric ascent (useful for cross-checks).
+    opt-in.  Every built-in measure has an exact prior step;
+    `force_numeric` routes it through the numeric ascent instead (an
+    independent cross-check).  `numeric_*` only matter for that ascent
+    -- the generic functional's prior step, or a forced one -- but must
+    be usable for all (at least 1 round, a finite positive step).
     """
 
     spec: FunctionalSpec
@@ -97,32 +106,40 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
     if np.any(p_x.probs <= 0.0):
         raise DomainError("initial prior must be strictly positive")
 
-    closed = spec.has_closed_p_step and not cfg.force_numeric
+    exact = spec.has_closed_p_step and not cfg.force_numeric
     kind, a, wm = spec.kind, spec.alpha, w.rows
     pos = wm > 0.0
-    p = p_x.probs
-    qc = _q_cols(kind, a, p, wm)
-    trace = [_eval(spec, p, wm, qc)]
-    converged = False
+    used = pos.any(axis=0)
 
-    for _ in range(cfg.max_iter):
-        if closed:
-            p = _p_closed(kind, a, wm, qc, pos)
-        else:
-            p = _p_numeric(spec, wm, qc, p, cfg.numeric_iters, cfg.numeric_step)
-        qc = _q_cols(kind, a, p, wm)
-        value = _eval(spec, p, wm, qc)
-        if value < trace[-1] - 1e-8:
-            raise Diverged(
-                f"objective decreased from {trace[-1]:.12g} to {value:.12g}"
-            )
-        gain = abs(value - trace[-1])
-        trace.append(value)
-        if cfg.relative:
-            gain = gain / max(1.0, abs(value))
-        if gain < cfg.epsilon:
-            converged = True
-            break
+    def table(p):
+        """The response step at p, its loss-cell table and the objective."""
+        joint = p[:, None] * wm
+        cells = _loss_cells(spec, _q_cols(kind, a, p, joint), used)
+        return cells, _outer_value(spec, p, _expectation(joint, cells))
+
+    converged = False
+    with np.errstate(**_QUIET):
+        p = p_x.probs
+        cells, value = table(p)
+        trace = [value]
+        for _ in range(cfg.max_iter):
+            c = _coeffs(wm, pos, cells)
+            if exact:
+                p = _p_exact(spec, c)
+            else:
+                p = _p_numeric(spec, c, p, cfg.numeric_iters, cfg.numeric_step)
+            cells, value = table(p)
+            if value < trace[-1] - 1e-8:
+                raise Diverged(
+                    f"objective decreased from {trace[-1]:.12g} to {value:.12g}"
+                )
+            gain = abs(value - trace[-1])
+            trace.append(value)
+            if cfg.relative:
+                gain = gain / max(1.0, abs(value))
+            if gain < cfg.epsilon:
+                converged = True
+                break
 
     return SolveResult(
         capacity=trace[-1],

@@ -107,11 +107,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--relative-eps", action="store_true",
                        help="interpret --eps relative to the objective magnitude")
     p_cap.add_argument("--max-iter", type=int, default=10000)
-    p_cap.add_argument("--algorithm", choices=("auto", "a1", "a2", "numeric"), default="auto")
+    p_cap.add_argument("--algorithm", choices=("auto", "a1", "a2", "numeric"), default="auto",
+                       help="prior step: auto takes the exact one of the measure (recorded as "
+                            "closed, a2 or exact); a1/a2 pick the arimoto form; numeric "
+                            "takes gradient-ascent steps instead")
     p_cap.add_argument("--numeric-iters", type=int, default=200,
-                       help="inner ascent rounds per prior update (numeric algorithm)")
+                       help="inner ascent rounds per prior update (--algorithm numeric only)")
     p_cap.add_argument("--numeric-step", type=float, default=0.5,
-                       help="initial inner ascent step size (numeric algorithm)")
+                       help="initial inner ascent step size (--algorithm numeric only)")
     p_cap.add_argument("--trace", metavar="PATH", help="write per-iteration objective values")
     p_cap.add_argument("--bits", action="store_true")
     p_cap.set_defaults(func=_cmd_capacity)
@@ -233,9 +236,9 @@ def _capacity_plan(measure: str, alpha: float | None, algorithm: str):
     if algorithm == "a1":
         return arimoto_a1_spec(alpha), False, "a1"
     spec = _measure_spec(measure, alpha)
-    if algorithm == "numeric" or not spec.has_closed_p_step:
-        return spec, algorithm == "numeric", "numeric"
-    return spec, False, "closed" if measure == "shannon" else "a2"
+    if algorithm == "numeric":
+        return spec, True, "numeric"
+    return spec, False, {"shannon": "closed", "arimoto": "a2"}.get(measure, "exact")
 
 
 def _cmd_capacity(args) -> int:

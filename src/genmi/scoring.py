@@ -105,14 +105,18 @@ def loss_from_core(
 ) -> np.ndarray:
     """Per-outcome values of the proper loss F(q) + z . (1_x - q).
 
-    q is nudged to the simplex interior (uniform mixing at weight 1e-12)
-    before the gradient is taken, since subgradients may blow up at the
-    boundary; the perturbation is far below every stated tolerance.
+    The subgradient z is taken at q nudged to the simplex interior (uniform
+    mixing at weight 1e-12), since gradients may blow up at the boundary;
+    F and the inner product z . q are taken at q itself.  So the expected
+    loss under q is F(q) whatever z is, and the generic functional at the
+    response step equals the mutual information up to rounding, at priors
+    on the boundary too.  The mixing is not negligible everywhere: where
+    q is 0, an order-a gradient q^(a-1) with a < 1 gives a large finite
+    loss instead of an infinite one.
     """
     qv = q.probs if isinstance(q, Pmf) else np.asarray(q, dtype=np.float64)
-    qi = (1.0 - GRAD_MIX) * qv + GRAD_MIX / qv.size
-    z = np.asarray(grad_f(qi), dtype=np.float64)
-    out = F(qi) + z - float(z @ qi)
+    z = np.asarray(grad_f((1.0 - GRAD_MIX) * qv + GRAD_MIX / qv.size), dtype=np.float64)
+    out = F(qv) + z - float(z @ qv)
     if not np.all(np.isfinite(out)):
         raise NonFinite("core gradient is not finite after interior mixing")
     return out

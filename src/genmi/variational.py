@@ -13,9 +13,17 @@ maximizer is the tilted posterior rather than the posterior itself.
 
 Each kind's loss is written once, in `_loss_cells`, as a table of
 l(x, q(.|y)) over the cells of q.  Evaluation sums joint * loss over the
-cells with joint mass; the prior step sums w * loss over each input's
-outputs, so that the expectation term is E = p . c; both then go through
-`_outer_value`, which holds each kind's outer expression.
+cells with joint mass; the prior steps sum w * loss over each input's
+outputs into the coefficients c, so that the expectation term is
+E = p . c; both then go through `_outer_value`, which holds each kind's
+outer expression.
+
+Both maximization steps are exact for every built-in kind: the response
+step is the (tilted) posterior, and the prior step is a function of c --
+a formula for Shannon and Arimoto (Blahut 1972; Arimoto 1972), and for
+Hayashi and Fehr-Berens, whose G(., q) is quasi-concave, the KKT point
+found by a scalar root find.  The generic kind, and any solve that asks
+for it, takes safeguarded exponentiated-gradient steps instead.
 
 Conventions: a response that puts zero mass where the joint has positive
 mass drives the functional to -inf (the log-loss convention): the loss is
@@ -46,7 +54,11 @@ from .errors import (
 from .scoring import GRAD_MIX, loss_from_core
 from .simplex import Channel, Pmf
 
-_CLOSED_FORM_KINDS = ("shannon", "arimoto_a1", "arimoto_a2")
+_CLOSED_FORM_KINDS = ("shannon", "arimoto_a1", "arimoto_a2", "hayashi", "fb")
+
+#: Floating-point conditions the kernels meet on purpose (log 0, 0 * inf,
+#: overflow to inf); their callers hold one `np.errstate(**_QUIET)`.
+_QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
 
 
 @dataclass(frozen=True)
@@ -138,12 +150,18 @@ def eval_functional(spec: FunctionalSpec, p_x: Pmf, w: Channel, q: QFamily) -> f
 
 
 def _eval(spec: FunctionalSpec, p: np.ndarray, w: np.ndarray, q: np.ndarray) -> float:
-    # only cells with joint mass count: p(x) w(y|x) may underflow to 0 where
-    # q(x|y) = 0 too, and such a cell must not turn the sum into inf
     joint = p[:, None] * w
+    with np.errstate(**_QUIET):
+        cells = _loss_cells(spec, q, (joint > 0.0).any(axis=0))
+    return _outer_value(spec, p, _expectation(joint, cells))
+
+
+def _expectation(joint: np.ndarray, cells: np.ndarray) -> float:
+    """The expectation term: joint * loss summed over the cells with joint
+    mass.  p(x) w(y|x) may underflow to 0 where q(x|y) = 0 too, and such a
+    cell must not turn the sum into inf."""
     mask = joint > 0.0
-    cells = _loss_cells(spec, q, mask.any(axis=0))
-    return _outer_value(spec, p, float(np.sum(joint[mask] * cells[mask])))
+    return float(np.sum(joint[mask] * cells[mask]))
 
 
 def _loss_cells(spec: FunctionalSpec, q: np.ndarray, used: np.ndarray) -> np.ndarray:
@@ -151,23 +169,23 @@ def _loss_cells(spec: FunctionalSpec, q: np.ndarray, used: np.ndarray) -> np.nda
 
     Log-type losses are +inf where q is 0.  `used` marks the columns the
     caller reads; the generic kind builds only those (and leaves 0 in the
-    rest), every other kind builds all of them.
+    rest), every other kind builds all of them.  The caller holds
+    `np.errstate(**_QUIET)`.
     """
     kind, a = spec.kind, spec.alpha
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if kind == "shannon":
-            return -np.log(q)
-        if kind == "arimoto_a1":
-            return q ** ((a - 1.0) / a)
-        if kind == "arimoto_a2":
-            return (q / np.sum(q ** a, axis=0) ** (1.0 / a)) ** (a - 1.0)
-        if kind == "hayashi":
-            return a * q ** (a - 1.0) - (a - 1.0) * np.sum(q ** a, axis=0)
-        if kind == "fb":
-            col_sum = np.sum(q ** a, axis=0)
-            head = (1.0 / (a - 1.0)) * col_sum ** (1.0 / (a - 1.0))
-            scale = (a / (a - 1.0)) * col_sum ** ((2.0 - a) / (a - 1.0))
-            return head - scale * q ** (a - 1.0)
+    if kind == "shannon":
+        return -np.log(q)
+    if kind == "arimoto_a1":
+        return q ** ((a - 1.0) / a)
+    if kind == "arimoto_a2":
+        return (q / np.sum(q ** a, axis=0) ** (1.0 / a)) ** (a - 1.0)
+    if kind == "hayashi":
+        return a * q ** (a - 1.0) - (a - 1.0) * np.sum(q ** a, axis=0)
+    if kind == "fb":
+        col_sum = np.sum(q ** a, axis=0)
+        head = (1.0 / (a - 1.0)) * col_sum ** (1.0 / (a - 1.0))
+        scale = (a / (a - 1.0)) * col_sum ** ((2.0 - a) / (a - 1.0))
+        return head - scale * q ** (a - 1.0)
     if kind == "generic":
         pair = spec.pair
         cells = np.zeros_like(q)
@@ -224,48 +242,53 @@ def q_step(spec: FunctionalSpec, p_x: Pmf, w: Channel) -> QFamily:
     """
     if len(p_x) != w.nx:
         raise DimensionMismatch("prior and channel input alphabets differ")
-    return QFamily(_q_cols(spec.kind, spec.alpha, p_x.probs, w.rows))
+    p = p_x.probs
+    return QFamily(_q_cols(spec.kind, spec.alpha, p, p[:, None] * w.rows))
 
 
-def _q_cols(kind: str, a: float | None, p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Columns of `q_step` on bare arrays.  For a pmf p, each column is a
-    non-negative column over its own sum, or p, so it passes QFamily's checks."""
-    cells = p[:, None] * w
-    if kind == "arimoto_a1":
-        cells = cells ** a
+def _q_cols(kind: str, a: float | None, p: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    """Columns of `q_step` on bare arrays, from the prior and the joint
+    p(x) w(y|x).  For a pmf p, each column is a non-negative column over its
+    own sum, or p, so it passes QFamily's checks."""
+    cells = joint ** a if kind == "arimoto_a1" else joint
     col_mass = cells.sum(axis=0)
     return np.where(col_mass > 0.0, cells / np.where(col_mass > 0.0, col_mass, 1.0), p[:, None])
 
 
 def p_step_closed(spec: FunctionalSpec, w: Channel, q: QFamily) -> Pmf:
-    """Exact outer maximizer over priors for fixed q, where a formula exists.
+    """Exact outer maximizer over priors for fixed q, for every built-in kind.
 
-    shannon:  p(x) proportional to prod_y q(x|y)^w(y|x)
-    arimoto:  p(x) proportional to (sum_y w(y|x) q(x|y)^((a-1)/a))^(1/(a-1)),
-              with q replaced by its column tilts for the second form.
-    Computed in log domain so that extreme orders stay stable.
+    With c the per-input coefficients of the expectation term, E = p . c:
+
+    shannon:  p(x) proportional to exp(-c_x)  (= prod_y q(x|y)^w(y|x))
+    arimoto:  p(x) proportional to c_x^(1/(a-1))
+              (c_x = sum_y w(y|x) q(x|y)^((a-1)/a), with q replaced by its
+              column tilts for the second form)
+    hayashi, fehr-berens:  the KKT point of `_p_kkt`, by a scalar root find.
+
+    UnsupportedSpec for the generic kind, which has no such step.
     """
     if q.nx != w.nx or q.ny != w.ny:
         raise DimensionMismatch("response family shape must match the channel")
     if spec.kind not in _CLOSED_FORM_KINDS:
         raise UnsupportedSpec(f"no closed-form prior update for {spec.kind!r}")
-    return Pmf(_p_closed(spec.kind, spec.alpha, w.rows, q.cols, w.rows > 0.0))
+    c = _input_coeffs(spec, w.rows, q.cols)
+    with np.errstate(**_QUIET):
+        return Pmf(_p_exact(spec, c))
 
 
-def _p_closed(kind: str, a: float | None, w, qc, pos) -> np.ndarray:
-    """The prior of `p_step_closed` on bare arrays; `pos` is `w > 0`, and cells
-    where w is 0 add exactly 0.  After the two NonFinite guards the result is
-    exp(<= 0) over a sum >= exp(0) = 1, so it passes Pmf's checks."""
-    if kind == "arimoto_a2":
-        qc = qc ** a
-        qc = qc / qc.sum(axis=0, keepdims=True)
-
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if kind == "shannon":
-            log_p = np.where(pos, w * np.log(qc), 0.0).sum(axis=1)
-        else:
-            terms = np.where(pos, w * qc ** ((a - 1.0) / a), 0.0)
-            log_p = np.log(terms.sum(axis=1)) / (a - 1.0)
+def _p_exact(spec: FunctionalSpec, c: np.ndarray) -> np.ndarray:
+    """The prior of `p_step_closed` from the coefficients c (+inf where an
+    input's loss is).  After the NonFinite guards the result is exp(<= 0)
+    over a sum >= exp(0) = 1, or `_p_kkt`'s weights over their sum, so it
+    passes Pmf's checks.  The caller holds `np.errstate(**_QUIET)`."""
+    kind, a = spec.kind, spec.alpha
+    if kind == "shannon":
+        log_p = -c
+    elif kind in ("hayashi", "fb"):
+        return _p_kkt(kind, a, c)
+    else:
+        log_p = np.log(c) / (a - 1.0)
 
     top = log_p.max()
     if not np.isfinite(top):
@@ -275,6 +298,107 @@ def _p_closed(kind: str, a: float | None, w, qc, pos) -> np.ndarray:
     if not total > 0.0:
         raise NonFinite("prior update collapsed to zero mass")
     return p / total
+
+
+def _p_kkt(kind: str, a: float, c: np.ndarray) -> np.ndarray:
+    """The maximizer of G(., q) for Hayashi and Fehr-Berens.
+
+    With s = sum_x p(x)^a, G is a monotone map of E/s (Hayashi, E > 0) or
+    of -E/s^(1/a) (Fehr-Berens, E < 0): a ratio of a linear term to a
+    convex one, or of a concave term to a linear one.  So G(., q) is
+    quasi-concave, and a KKT point is its maximum (Arrow & Enthoven 1961).
+    Stationarity gives
+
+        p(x) proportional to (h_x + k t)_+^(1/(a-1)),   t = p . h,
+
+    with h = c, k = a - 1 and t = E for Hayashi, and h = (1 - a) c,
+    k = 1/(a - 1) and t = (1 - a) E for Fehr-Berens.  The scalar t is the
+    root of f(t) = p(t) . h - t, which is positive at 0 and not positive
+    at the other end of the bracket: max h where k > 0 (a > 1), and
+    min h / (-k) where k < 0 (Hayashi with a < 1, where every input keeps
+    mass).  f falls with slope <= -1 (the slope of p(t) . h is k/(a-1) > 0
+    times the covariance under p(t) of h and 1/(h + k t), which is <= 0),
+    so the root is unique.  Hayashi inputs with a < 1 and infinite c get
+    no mass; any other non-finite c, or an empty bracket, raises
+    NonFinite.
+    """
+    inf = c == math.inf
+    if kind == "hayashi" and a < 1.0 and inf.any() and not inf.all():
+        p = np.zeros_like(c)
+        p[~inf] = _p_kkt(kind, a, c[~inf])
+        return p
+    if not np.all(np.isfinite(c)):
+        _no_root(kind, a, c)
+    h, k = (c, a - 1.0) if kind == "hayashi" else ((1.0 - a) * c, 1.0 / (a - 1.0))
+    g = 1.0 / (a - 1.0)
+    # the largest base (k > 0) or the smallest (k < 0) is h_ref + k t
+    h_ref = float(h.max()) if k > 0.0 else float(h.min())
+    hi = h_ref / abs(k) if k < 0.0 else h_ref
+    if not 0.0 < hi < math.inf:
+        _no_root(kind, a, c)
+
+    def f(t: float):
+        """(f(t), u, sum u) with p(t) = u / sum u, u scaled to at most 1."""
+        ref = h_ref + k * t
+        if not ref > 0.0:  # k < 0 and t at the end of the bracket
+            u = (h == h_ref).astype(np.float64)
+        else:
+            u = (np.maximum(h + k * t, 0.0) * (1.0 / ref)) ** g
+        s = float(u.sum())
+        return float(u.dot(h)) / s - t, u, s
+
+    lo, top = f(0.0), f(hi)
+    if not lo[0] > 0.0:
+        _no_root(kind, a, c)
+    if top[0] >= 0.0:  # f(hi) <= 0 holds exactly; this is the root, rounded
+        return top[1] / top[2]
+    # as f falls with slope <= -1, |f| <= tol puts t within tol of the root
+    tol = 8.0 * math.ulp(hi)
+    (_, f_lo, u_lo, s_lo), (_, f_hi, u_hi, s_hi) = _bracketed_root(
+        f, (0.0, *lo), (hi, *top), tol)
+    if f_lo == f_hi:
+        return u_lo / s_lo
+    # f may jump between adjacent floats (inputs entering with bases near 0
+    # and a small exponent 1/(a-1)): take the point of the chord where f is 0
+    return (f_lo * (u_hi / s_hi) - f_hi * (u_lo / s_lo)) / (f_lo - f_hi)
+
+
+def _bracketed_root(f, lo, hi, tol: float):
+    """The root of f on a bracket with f > 0 at its low end and f < 0 at
+    its high end; `f(t)` and the ends are tuples (f(t), ...), the ends led
+    by t.  Returns the ends once they are adjacent floats, or the first
+    evaluation with |f| <= tol as both ends.
+
+    Dekker's method, the core of Brent's: a secant step through the two
+    latest points where it lands inside the bracket, and a bisection where
+    it does not or where two steps have not halved |f|.
+    """
+    old, new = (lo, hi) if abs(lo[1]) > abs(hi[1]) else (hi, lo)
+    f_old, f_new = math.inf, math.inf
+    while True:
+        width = hi[0] - lo[0]
+        mid = lo[0] + 0.5 * width
+        if not lo[0] < mid < hi[0]:
+            return lo, hi
+        slope = (new[1] - old[1]) / (new[0] - old[0])
+        t = new[0] - new[1] / slope if slope < 0.0 else mid
+        if f_new > 0.5 * f_old or not lo[0] < t < hi[0]:
+            t = mid
+        old, new = new, (t, *f(t))
+        if abs(new[1]) <= tol:
+            return new, new
+        f_old, f_new = f_new, abs(new[1])
+        if new[1] > 0.0:
+            lo = new
+        else:
+            hi = new
+
+
+def _no_root(kind: str, a: float, c: np.ndarray):
+    raise NonFinite(
+        f"exact prior step ({kind}, order {a:g}): no root of the KKT equation "
+        f"for the input coefficients c = {np.array2string(c, precision=6)}"
+    )
 
 
 def p_step_numeric(
@@ -292,7 +416,9 @@ def p_step_numeric(
     form.  Each round takes it, then halves the step until the objective
     does not decrease; iteration stops after `iters` rounds or when a
     round gains less than 1e-12.  The start must be strictly interior;
-    a coordinate may reach 0 along the way and then stays 0.
+    a coordinate may reach 0 along the way and then stays 0.  This is the
+    prior step of the generic kind; for the built-in kinds it is an
+    independent cross-check of `p_step_closed`.
     """
     if len(p_init) != w.nx:
         raise DimensionMismatch("initial prior and channel input alphabets differ")
@@ -301,7 +427,8 @@ def p_step_numeric(
     if np.any(p_init.probs <= 0.0):
         raise DomainError("numeric prior update needs a strictly interior start")
     _check_numeric_settings(iters, step)
-    return Pmf(_p_numeric(spec, w.rows, q.cols, p_init.probs, iters, step))
+    c = _input_coeffs(spec, w.rows, q.cols)
+    return Pmf(_p_numeric(spec, c, p_init.probs, iters, step))
 
 
 def _check_numeric_settings(iters: int, step: float) -> None:
@@ -312,11 +439,12 @@ def _check_numeric_settings(iters: int, step: float) -> None:
         raise DomainError(f"numeric ascent step must be finite and positive, got {step!r}")
 
 
-def _p_numeric(spec: FunctionalSpec, w, qc, p, iters: int, step: float) -> np.ndarray:
-    """The prior of `p_step_numeric` on bare arrays, from any pmf p.  Every
-    accepted trial is p times positive weights (0 where the gradient is -inf)
-    over their sum, so the result passes Pmf's checks and zeros stay 0."""
-    value, grad = _prior_objective(spec, w, qc)
+def _p_numeric(spec: FunctionalSpec, c: np.ndarray, p, iters: int, step: float) -> np.ndarray:
+    """The prior of `p_step_numeric` on bare arrays, from the coefficients c
+    and any pmf p.  Every accepted trial is p times positive weights (0 where
+    the gradient is -inf) over their sum, so the result passes Pmf's checks
+    and zeros stay 0."""
+    value, grad = _prior_objective(spec, c)
     f = value(p)
     for _ in range(iters):
         g = grad(p)
@@ -340,11 +468,12 @@ def _p_numeric(spec: FunctionalSpec, w, qc, p, iters: int, step: float) -> np.nd
     return p
 
 
-def _prior_objective(spec: FunctionalSpec, w: np.ndarray, q: np.ndarray):
-    """`value(p)` and `grad(p)` of p -> G(p, q) for fixed q, each O(|X|).
+def _prior_objective(spec: FunctionalSpec, c: np.ndarray):
+    """`value(p)` and `grad(p)` of p -> G(p, q) for fixed q, each O(|X|),
+    from the coefficients c of E = p . c (`_input_coeffs`).
 
-    With E = p . c and s = sum_x p(x)^a, the gradients are, up to a
-    constant common to all inputs (which the ascent step ignores):
+    With s = sum_x p(x)^a, the gradients are, up to a constant common to
+    all inputs (which the ascent step ignores):
 
         shannon    -c - log p          (c is the expected log loss)
         arimoto    (a/(a-1)) (c/E - p^(a-1)/s)
@@ -356,7 +485,8 @@ def _prior_objective(spec: FunctionalSpec, w: np.ndarray, q: np.ndarray):
     infinite (G is -inf while they keep mass), so a step empties them.
     """
     kind, a, pair = spec.kind, spec.alpha, spec.pair
-    c, bad = _input_coeffs(spec, w, q)
+    bad = ~np.isfinite(c)
+    c = np.where(bad, 0.0, c)
     keep, any_bad = ~bad, bool(bad.any())
 
     def value(p: np.ndarray) -> float:
@@ -386,16 +516,19 @@ def _prior_objective(spec: FunctionalSpec, w: np.ndarray, q: np.ndarray):
     return value, grad
 
 
-def _input_coeffs(spec: FunctionalSpec, w: np.ndarray, q: np.ndarray):
-    """Per-input coefficients c of the expectation term, E = p . c, with the
-    inputs whose coefficient is infinite flagged (and their c set to 0).
-    c_x sums w(y|x) times the loss at q over the outputs with w(y|x) > 0."""
+def _input_coeffs(spec: FunctionalSpec, w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-input coefficients c of the expectation term, E = p . c, for the
+    response family q; +inf on an input whose loss is +inf on one of its
+    outputs."""
     pos = w > 0.0
-    cells = _loss_cells(spec, q, pos.any(axis=0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = np.where(pos, w * cells, 0.0).sum(axis=1)
-    bad = ~np.isfinite(c)
-    return np.where(bad, 0.0, c), bad
+    with np.errstate(**_QUIET):
+        return _coeffs(w, pos, _loss_cells(spec, q, pos.any(axis=0)))
+
+
+def _coeffs(w: np.ndarray, pos: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """c_x: w(y|x) times the loss cell, summed over the outputs with
+    w(y|x) > 0.  The caller holds `np.errstate(**_QUIET)`."""
+    return np.where(pos, w * cells, 0.0).sum(axis=1)
 
 
 def _eta_slope(pair: EntropyPair, t: float) -> float:

@@ -50,8 +50,8 @@ def test_auto_algorithm_choices_recorded():
     picks = {
         "shannon": b"algorithm: closed",
         "arimoto": b"algorithm: a2",
-        "hayashi": b"algorithm: numeric",
-        "fehr-berens": b"algorithm: numeric",
+        "hayashi": b"algorithm: exact",
+        "fehr-berens": b"algorithm: exact",
     }
     for measure, expected in picks.items():
         argv = ["capacity", "fixtures/asym22.chan", "--measure", measure]

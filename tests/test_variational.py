@@ -8,6 +8,7 @@ import pytest
 
 from genmi import (
     DomainError,
+    NonFinite,
     Pmf,
     QFamily,
     UnsupportedSpec,
@@ -33,7 +34,7 @@ from genmi import (
     uniform,
     variational,
 )
-from genmi.variational import _eval, _p_numeric, _prior_objective
+from genmi.variational import _eval, _input_coeffs, _p_numeric, _prior_objective
 
 from conftest import rand_channel, rand_pmf
 
@@ -114,9 +115,12 @@ class TestSubnormalPrior:
     cell q = 0 too, and the cell has no joint mass, so it must not count."""
 
     SPECS = (shannon_spec(), arimoto_a1_spec(0.5), arimoto_a2_spec(0.5), hayashi_spec(0.5),
-             arimoto_a1_spec(2.0), arimoto_a2_spec(2.0), hayashi_spec(2.0), fb_spec(2.0))
+             arimoto_a1_spec(2.0), arimoto_a2_spec(2.0), hayashi_spec(2.0), fb_spec(2.0),
+             generic_spec(hayashi_pair(0.5)), generic_spec(hayashi_pair(0.3)),
+             generic_spec(arimoto_pair(0.5)))
 
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.alpha}")
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.pair.name if s.kind == "generic"
+                             else f"{s.kind}-{s.alpha}")
     def test_value_at_q_step_is_finite_mi(self, spec):
         p = Pmf(np.array([5e-324, 0.4, 0.6]))
         # every w(y|0) is below 1/2, so 5e-324 * w(y|0) rounds to 0
@@ -242,27 +246,80 @@ class TestPStepClosed:
         fam = q_step(spec, uniform(1), w)
         np.testing.assert_allclose(p_step_closed(spec, w, fam).probs, [1.0], atol=0)
 
-    def test_unsupported_for_numeric_measures(self, bsc10, uniform2):
-        for spec in (hayashi_spec(2.0), fb_spec(2.0)):
-            fam = q_step(spec, uniform2, bsc10)
-            with pytest.raises(UnsupportedSpec):
-                p_step_closed(spec, bsc10, fam)
+    def test_unsupported_for_generic_kind(self, bsc10, uniform2):
+        spec = generic_spec(hayashi_pair(2.0))
+        fam = q_step(spec, uniform2, bsc10)
+        with pytest.raises(UnsupportedSpec):
+            p_step_closed(spec, bsc10, fam)
 
     def test_closed_step_is_argmax(self):
-        # certifies the printed update exponent 1/(a-1): the closed-form
-        # prior must dominate random priors for the same response family
+        # certifies the update: the closed-form prior (for hayashi and
+        # fehr-berens, the root-found KKT point) must dominate random
+        # priors for the same response family
         rng = np.random.default_rng(23)
-        for a in ALPHAS:
-            for spec in (shannon_spec(), arimoto_a1_spec(a), arimoto_a2_spec(a)):
-                for _ in range(5):
-                    m, n = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-                    w = rand_channel(rng, m, n, floor=1e-3)
-                    fam = random_family(rng, m, n, floor=1e-3)
-                    p_best = p_step_closed(spec, w, fam)
-                    v_best = eval_functional(spec, p_best, w, fam)
-                    for _ in range(200):
-                        p_other = rand_pmf(rng, m)
-                        assert eval_functional(spec, p_other, w, fam) <= v_best + 1e-7
+        specs = [spec for a in ALPHAS
+                 for spec in (shannon_spec(), arimoto_a1_spec(a), arimoto_a2_spec(a))]
+        specs += [hayashi_spec(a) for a in (0.5, 1.5, 2.0, 3.0)]
+        specs += [fb_spec(a) for a in (1.5, 2.0, 3.0)]
+        for spec in specs:
+            for _ in range(5):
+                m, n = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+                w = rand_channel(rng, m, n, floor=1e-3)
+                fam = random_family(rng, m, n, floor=1e-3)
+                p_best = p_step_closed(spec, w, fam)
+                v_best = eval_functional(spec, p_best, w, fam)
+                for _ in range(200):
+                    p_other = rand_pmf(rng, m)
+                    assert eval_functional(spec, p_other, w, fam) <= v_best + 1e-7
+
+
+    @pytest.mark.parametrize("spec", [hayashi_spec(a) for a in (0.5, 1.5, 2.0, 3.0)]
+                             + [fb_spec(a) for a in (1.5, 2.0, 3.0)],
+                             ids=lambda s: f"{s.kind}-{s.alpha}")
+    def test_exact_step_dominates_numeric_ascent(self, spec):
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            w = rand_channel(rng, m, n, floor=1e-3)
+            fam = random_family(rng, m, n, floor=1e-3)
+            v_exact = eval_functional(spec, p_step_closed(spec, w, fam), w, fam)
+            numeric = p_step_numeric(spec, w, fam, uniform(m), iters=2000)
+            assert eval_functional(spec, numeric, w, fam) <= v_exact + 1e-12
+
+    def test_symmetric_channel_uniform_for_root_found_step(self):
+        # equal coefficients: the bracket's far end is the root
+        w = make_channel([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
+        for spec in (hayashi_spec(0.5), hayashi_spec(2.0), fb_spec(3.0)):
+            p = p_step_closed(spec, w, q_step(spec, uniform(3), w))
+            np.testing.assert_allclose(p.probs, 1 / 3, atol=1e-12)
+
+    def test_input_with_infinite_coefficient_gets_no_mass(self):
+        # hayashi a < 1: q gives input 1 no mass on an output its row reaches
+        w = make_channel([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
+        fam = QFamily(np.array([[0.5, 0.5], [0.0, 0.3], [0.5, 0.2]]))
+        p = p_step_closed(hayashi_spec(0.5), w, fam)
+        assert p[1] == 0.0
+        assert math.isfinite(eval_functional(hayashi_spec(0.5), p, w, fam))
+
+    def test_steep_root_at_large_order(self):
+        # at order 50 the losses are ~1e-14 and 1/(a-1) is small, so the
+        # KKT weights of near-tied inputs jump within one float step of t
+        w = make_channel(np.ones((5, 1)))
+        fam = QFamily(np.array([[0.5], [0.3], [0.2], [0.0], [0.0]]))
+        rng = np.random.default_rng(31)
+        for spec in (hayashi_spec(50.0), fb_spec(50.0), hayashi_spec(10.0)):
+            v_best = eval_functional(spec, p_step_closed(spec, w, fam), w, fam)
+            for r in rng.dirichlet(np.full(5, 0.5), size=500):
+                assert eval_functional(spec, Pmf(r), w, fam) <= v_best + 1e-12
+
+    def test_no_root_is_a_typed_error(self):
+        # every prior gives -inf: E <= 0 for hayashi 2, E >= 0 for fehr-berens
+        w = make_channel(np.eye(2))
+        fam = QFamily(np.array([[0.1, 0.9], [0.9, 0.1]]))
+        for spec in (hayashi_spec(2.0), fb_spec(2.0)):
+            assert eval_functional(spec, uniform(2), w, fam) == -math.inf
+            with pytest.raises(NonFinite, match=rf"exact prior step \({spec.kind}, order 2\)"):
+                p_step_closed(spec, w, fam)
 
 
 class TestPStepNumeric:
@@ -337,7 +394,7 @@ class TestPriorGradient:
         for m, n in ((2, 3), (3, 3), (4, 5)):
             w = channel_with_zero_cells(rng, m, n)
             q = family_off_channel_support(rng, w)
-            value, grad = _prior_objective(spec, w.rows, q.cols)
+            value, grad = _prior_objective(spec, _input_coeffs(spec, w.rows, q.cols))
             for _ in range(5):
                 p = rand_pmf(rng, m, floor=0.05).probs
                 g = grad(p)
@@ -365,7 +422,7 @@ class TestPriorGradient:
                           family_off_channel_support(rng, w).cols):
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
-                        out = _p_numeric(spec, w.rows, q, p, 200, 0.5)
+                        out = _p_numeric(spec, _input_coeffs(spec, w.rows, q), p, 200, 0.5)
                     assert out[zero] == 0.0
                     make_pmf(out)  # a valid pmf
                     assert _eval(spec, out, w.rows, q) >= _eval(spec, p, w.rows, q) - 1e-12
@@ -378,7 +435,7 @@ class TestPriorGradient:
         for spec in (shannon_spec(), arimoto_a2_spec(0.5), hayashi_spec(0.5)):
             p = np.full(3, 1.0 / 3.0)
             assert _eval(spec, p, w.rows, q) == -math.inf
-            out = _p_numeric(spec, w.rows, q, p, 50, 0.5)
+            out = _p_numeric(spec, _input_coeffs(spec, w.rows, q), p, 50, 0.5)
             assert out[1] == 0.0
             assert math.isfinite(_eval(spec, out, w.rows, q))
 
