@@ -39,6 +39,7 @@ from .simplex import Channel, Pmf, uniform
 from .variational import (
     _QUIET,
     FunctionalSpec,
+    _check_count,
     _check_numeric_settings,
     _coeffs,
     _expectation,
@@ -63,7 +64,9 @@ class SolverConfig:
     `force_numeric` routes it through the numeric ascent instead (an
     independent cross-check).  `numeric_*` only matter for that ascent
     -- the generic functional's prior step, or a forced one -- but must
-    be usable for all (at least 1 round, a finite positive step).
+    be usable for all (an integer count of rounds, at least 1, and a
+    finite positive step).  `max_iter` is an integer of at least 1 too.
+    Each setting out of range raises DomainError.
     """
 
     spec: FunctionalSpec
@@ -78,8 +81,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be a positive integer")
+        _check_count("max_iter", self.max_iter)
         _check_numeric_settings(self.numeric_iters, self.numeric_step)
 
 

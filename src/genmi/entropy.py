@@ -76,7 +76,7 @@ class MiReport:
 
 def _shannon_core(p: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
-        return -np.sum(np.where(p > 0.0, p * np.log(p), 0.0), axis=0)
+        return -np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=0)
 
 
 def shannon_pair() -> EntropyPair:
@@ -94,19 +94,20 @@ def arimoto_pair(alpha: float) -> EntropyPair:
     _check_order(alpha)
     a = float(alpha)
     sign = 1.0 if a < 1.0 else -1.0
+    k = a / (1.0 - a)
 
     def F(p: np.ndarray):
-        return sign * np.sum(p ** a, axis=0) ** (1.0 / a)
+        return sign * (p ** a).sum(axis=0) ** (1.0 / a)
 
     def grad_f(p: np.ndarray) -> np.ndarray:
-        norm = np.sum(p ** a) ** (1.0 / a)
+        norm = (p ** a).sum() ** (1.0 / a)
         return sign * norm ** (1.0 - a) * p ** (a - 1.0)
 
     return EntropyPair(
         name=f"arimoto({a:g})",
         F=F,
         grad_f=grad_f,
-        eta=lambda t: (a / (1.0 - a)) * np.log(sign * t),
+        eta=lambda t: k * np.log(sign * t),
         eta_domain=(0.0, np.inf) if a < 1.0 else (-np.inf, 0.0),
         alpha=a,
     )
@@ -117,12 +118,13 @@ def hayashi_pair(alpha: float) -> EntropyPair:
     _check_order(alpha)
     a = float(alpha)
     sign = 1.0 if a < 1.0 else -1.0
+    k = 1.0 / (1.0 - a)
 
     return EntropyPair(
         name=f"hayashi({a:g})",
-        F=lambda p: sign * np.sum(p ** a, axis=0),
+        F=lambda p: sign * (p ** a).sum(axis=0),
         grad_f=lambda p: sign * a * p ** (a - 1.0),
-        eta=lambda t: (1.0 / (1.0 - a)) * np.log(sign * t),
+        eta=lambda t: k * np.log(sign * t),
         eta_domain=(0.0, np.inf) if a < 1.0 else (-np.inf, 0.0),
         alpha=a,
     )
@@ -136,10 +138,10 @@ def fehr_berens_pair(alpha: float) -> EntropyPair:
     a = float(alpha)
 
     def F(p: np.ndarray):
-        return -np.sum(p ** a, axis=0) ** (1.0 / (a - 1.0))
+        return -(p ** a).sum(axis=0) ** (1.0 / (a - 1.0))
 
     def grad_f(p: np.ndarray) -> np.ndarray:
-        s = np.sum(p ** a)
+        s = (p ** a).sum()
         return -(a / (a - 1.0)) * s ** ((2.0 - a) / (a - 1.0)) * p ** (a - 1.0)
 
     return EntropyPair(

@@ -12,11 +12,12 @@ The first Arimoto form is the one historical exception whose inner
 maximizer is the tilted posterior rather than the posterior itself.
 
 Each kind's loss is written once, in `_loss_cells`, as a table of
-l(x, q(.|y)) over the cells of q.  Evaluation sums joint * loss over the
-cells with joint mass; the prior steps sum w * loss over each input's
-outputs into the coefficients c, so that the expectation term is
-E = p . c; both then go through `_outer_value`, which holds each kind's
-outer expression.
+l(x, q(.|y)) over the cells of q, signed like its pair's core.
+Evaluation sums joint * loss over the cells with joint mass; the prior
+steps sum w * loss over each input's outputs into the coefficients c,
+so that the expectation term is E = p . c.  The rest comes from the
+pair, the same for every kind: G = eta(F(p)) - eta(E) in `_outer_value`,
+and its prior gradient eta'(F(p)) grad F(p) - eta'(E) c.
 
 Both maximization steps are exact for every built-in kind: the response
 step is the (tilted) posterior, and the prior step is a function of c --
@@ -34,6 +35,7 @@ responses, it returns the -inf sentinel.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +56,9 @@ from .errors import (
 from .scoring import GRAD_MIX, loss_from_core
 from .simplex import Channel, Pmf
 
-_CLOSED_FORM_KINDS = ("shannon", "arimoto_a1", "arimoto_a2", "hayashi", "fb")
+#: The built-in kinds, each with the measure (pair name) its formulas are for.
+_CLOSED_FORM_KINDS = {"shannon": "shannon", "arimoto_a1": "arimoto", "arimoto_a2": "arimoto",
+                      "hayashi": "hayashi", "fb": "fehr-berens"}
 
 #: Floating-point conditions the kernels meet on purpose (log 0, 0 * inf,
 #: overflow to inf); their callers hold one `np.errstate(**_QUIET)`.
@@ -87,23 +91,31 @@ class QFamily:
     def ny(self) -> int:
         return self.cols.shape[1]
 
-    @staticmethod
-    def from_columns(columns) -> "QFamily":
-        return QFamily(np.column_stack([c.probs if isinstance(c, Pmf) else c for c in columns]))
-
 
 @dataclass(frozen=True)
 class FunctionalSpec:
     """Selects which functional to evaluate and which updates apply.
 
-    `pair` is the matching entropy measure; it powers the generic
-    evaluation path and lets callers cross-check against the direct
-    mutual-information computation.
+    `pair` is the entropy measure: G and its gradient come from it, and
+    it lets callers cross-check against the direct mutual-information
+    computation.  The order is the pair's.  A built-in kind's loss and
+    exact steps are written for one measure, so it takes only that
+    measure's pair (UnsupportedSpec otherwise); the generic kind takes any.
     """
 
     kind: str  # shannon | arimoto_a1 | arimoto_a2 | hayashi | fb | generic
     pair: EntropyPair
-    alpha: float | None = None
+
+    def __post_init__(self):
+        # the pair's name up to its order, and an order for all but Shannon
+        measure, name = _CLOSED_FORM_KINDS.get(self.kind), self.pair.name
+        own = (name.partition("(")[0], self.pair.alpha is None) == (measure, measure == "shannon")
+        if self.kind != "generic" and not own:
+            raise UnsupportedSpec(f"no functional kind {self.kind!r} for the pair {name}")
+
+    @property
+    def alpha(self) -> float | None:
+        return self.pair.alpha
 
     @property
     def has_closed_p_step(self) -> bool:
@@ -115,24 +127,24 @@ def shannon_spec() -> FunctionalSpec:
 
 
 def arimoto_a1_spec(alpha: float) -> FunctionalSpec:
-    return FunctionalSpec(kind="arimoto_a1", pair=arimoto_pair(alpha), alpha=float(alpha))
+    return FunctionalSpec(kind="arimoto_a1", pair=arimoto_pair(alpha))
 
 
 def arimoto_a2_spec(alpha: float) -> FunctionalSpec:
-    return FunctionalSpec(kind="arimoto_a2", pair=arimoto_pair(alpha), alpha=float(alpha))
+    return FunctionalSpec(kind="arimoto_a2", pair=arimoto_pair(alpha))
 
 
 def hayashi_spec(alpha: float) -> FunctionalSpec:
-    return FunctionalSpec(kind="hayashi", pair=hayashi_pair(alpha), alpha=float(alpha))
+    return FunctionalSpec(kind="hayashi", pair=hayashi_pair(alpha))
 
 
 def fb_spec(alpha: float) -> FunctionalSpec:
-    return FunctionalSpec(kind="fb", pair=fehr_berens_pair(alpha), alpha=float(alpha))
+    return FunctionalSpec(kind="fb", pair=fehr_berens_pair(alpha))
 
 
 def generic_spec(pair: EntropyPair) -> FunctionalSpec:
     """Generic functional for any core-concave measure (its l_F is proper)."""
-    return FunctionalSpec(kind="generic", pair=pair, alpha=pair.alpha)
+    return FunctionalSpec(kind="generic", pair=pair)
 
 
 # ---------------------------------------------------------------------------
@@ -152,20 +164,23 @@ def eval_functional(spec: FunctionalSpec, p_x: Pmf, w: Channel, q: QFamily) -> f
 def _eval(spec: FunctionalSpec, p: np.ndarray, w: np.ndarray, q: np.ndarray) -> float:
     joint = p[:, None] * w
     with np.errstate(**_QUIET):
-        cells = _loss_cells(spec, q, (joint > 0.0).any(axis=0))
-    return _outer_value(spec, p, _expectation(joint, cells))
+        e = _expectation(joint, _loss_cells(spec, q, (joint > 0.0).any(axis=0)))
+    return _outer_value(spec, p, e)
 
 
 def _expectation(joint: np.ndarray, cells: np.ndarray) -> float:
     """The expectation term: joint * loss summed over the cells with joint
     mass.  p(x) w(y|x) may underflow to 0 where q(x|y) = 0 too, and such a
-    cell must not turn the sum into inf."""
-    mask = joint > 0.0
-    return float(np.sum(joint[mask] * cells[mask]))
+    cell must not turn the sum into inf.  The caller holds
+    `np.errstate(**_QUIET)`."""
+    return float((joint * cells)[joint > 0.0].sum())
 
 
 def _loss_cells(spec: FunctionalSpec, q: np.ndarray, used: np.ndarray) -> np.ndarray:
-    """The loss l(x, q(.|y)) at every cell (x, y) of the response family q.
+    """The loss l(x, q(.|y)) at every cell (x, y) of the response family q,
+    signed like the pair's core (negated above order 1 for the order-a
+    measures): the pair's l_F, or for the first Arimoto form a loss whose
+    expectation falls in eta's domain.
 
     Log-type losses are +inf where q is 0.  `used` marks the columns the
     caller reads; the generic kind builds only those (and leaves 0 in the
@@ -175,56 +190,35 @@ def _loss_cells(spec: FunctionalSpec, q: np.ndarray, used: np.ndarray) -> np.nda
     kind, a = spec.kind, spec.alpha
     if kind == "shannon":
         return -np.log(q)
-    if kind == "arimoto_a1":
-        return q ** ((a - 1.0) / a)
-    if kind == "arimoto_a2":
-        return (q / np.sum(q ** a, axis=0) ** (1.0 / a)) ** (a - 1.0)
-    if kind == "hayashi":
-        return a * q ** (a - 1.0) - (a - 1.0) * np.sum(q ** a, axis=0)
-    if kind == "fb":
-        col_sum = np.sum(q ** a, axis=0)
-        head = (1.0 / (a - 1.0)) * col_sum ** (1.0 / (a - 1.0))
-        scale = (a / (a - 1.0)) * col_sum ** ((2.0 - a) / (a - 1.0))
-        return head - scale * q ** (a - 1.0)
     if kind == "generic":
         pair = spec.pair
         cells = np.zeros_like(q)
         for y in np.flatnonzero(used):
             cells[:, y] = loss_from_core(pair.F, pair.grad_f, q[:, y])
         return cells
-    raise UnsupportedSpec(f"unknown functional kind {kind!r}")
+    if kind == "fb":
+        col_sum = (q ** a).sum(axis=0)
+        head = (1.0 / (a - 1.0)) * col_sum ** (1.0 / (a - 1.0))
+        scale = (a / (a - 1.0)) * col_sum ** ((2.0 - a) / (a - 1.0))
+        return head - scale * q ** (a - 1.0)
+    if kind == "arimoto_a1":
+        cells = q ** ((a - 1.0) / a)
+    elif kind == "arimoto_a2":
+        cells = (q / (q ** a).sum(axis=0) ** (1.0 / a)) ** (a - 1.0)
+    else:  # hayashi
+        cells = a * q ** (a - 1.0) - (a - 1.0) * (q ** a).sum(axis=0)
+    return cells if a < 1.0 else -cells  # the pair's sign
 
 
 def _outer_value(spec: FunctionalSpec, p: np.ndarray, e: float) -> float:
-    """G from the prior and the expectation term e; -inf where e leaves the
-    domain of the outer map.  Shannon goes through its pair, with e the
-    expected log loss."""
-    a = spec.alpha
-    if spec.kind in ("arimoto_a1", "arimoto_a2"):
-        return _log_ratio_value(a / (a - 1.0), e, _norm(p, a))
-    if spec.kind == "hayashi":
-        return _log_ratio_value(1.0 / (a - 1.0), e, float((p ** a).sum()))
-    if spec.kind == "fb":
-        if not -e > 0.0:
-            return -math.inf
-        return math.log(-e) - (a / (a - 1.0)) * math.log(_norm(p, a))
+    """G = eta(F(p)) - eta(e) from the prior and the expectation term e;
+    -inf where e leaves eta's domain."""
     pair = spec.pair
     head = pair.eta_checked(pair.F(p))
     lo, hi = pair.eta_domain
     if not lo < e < hi:
         return -math.inf
     return head - float(pair.eta(e))
-
-
-def _norm(p: np.ndarray, a: float) -> float:
-    return float((p ** a).sum() ** (1.0 / a))
-
-
-def _log_ratio_value(coef: float, e: float, den: float) -> float:
-    """coef * (log e - log den) with the -inf convention at both bad ends."""
-    if not (0.0 < e < math.inf):
-        return -math.inf
-    return coef * (math.log(e) - math.log(den))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +246,8 @@ def _q_cols(kind: str, a: float | None, p: np.ndarray, joint: np.ndarray) -> np.
     own sum, or p, so it passes QFamily's checks."""
     cells = joint ** a if kind == "arimoto_a1" else joint
     col_mass = cells.sum(axis=0)
-    return np.where(col_mass > 0.0, cells / np.where(col_mass > 0.0, col_mass, 1.0), p[:, None])
+    has_mass = col_mass > 0.0
+    return np.where(has_mass, cells / np.where(has_mass, col_mass, 1.0), p[:, None])
 
 
 def p_step_closed(spec: FunctionalSpec, w: Channel, q: QFamily) -> Pmf:
@@ -261,9 +256,9 @@ def p_step_closed(spec: FunctionalSpec, w: Channel, q: QFamily) -> Pmf:
     With c the per-input coefficients of the expectation term, E = p . c:
 
     shannon:  p(x) proportional to exp(-c_x)  (= prod_y q(x|y)^w(y|x))
-    arimoto:  p(x) proportional to c_x^(1/(a-1))
-              (c_x = sum_y w(y|x) q(x|y)^((a-1)/a), with q replaced by its
-              column tilts for the second form)
+    arimoto:  p(x) proportional to (+-c_x)^(1/(a-1)), the sign undoing
+              the pair's (c_x = +-sum_y w(y|x) q(x|y)^((a-1)/a), with q
+              replaced by its column tilts for the second form)
     hayashi, fehr-berens:  the KKT point of `_p_kkt`, by a scalar root find.
 
     UnsupportedSpec for the generic kind, which has no such step.
@@ -288,10 +283,10 @@ def _p_exact(spec: FunctionalSpec, c: np.ndarray) -> np.ndarray:
     elif kind in ("hayashi", "fb"):
         return _p_kkt(kind, a, c)
     else:
-        log_p = np.log(c) / (a - 1.0)
+        log_p = np.log(c if a < 1.0 else -c) / (a - 1.0)
 
     top = log_p.max()
-    if not np.isfinite(top):
+    if not math.isfinite(top):
         raise NonFinite("prior update collapsed; response family degenerate")
     p = np.exp(log_p - top)
     total = p.sum()
@@ -303,15 +298,15 @@ def _p_exact(spec: FunctionalSpec, c: np.ndarray) -> np.ndarray:
 def _p_kkt(kind: str, a: float, c: np.ndarray) -> np.ndarray:
     """The maximizer of G(., q) for Hayashi and Fehr-Berens.
 
-    With s = sum_x p(x)^a, G is a monotone map of E/s (Hayashi, E > 0) or
-    of -E/s^(1/a) (Fehr-Berens, E < 0): a ratio of a linear term to a
-    convex one, or of a concave term to a linear one.  So G(., q) is
-    quasi-concave, and a KKT point is its maximum (Arrow & Enthoven 1961).
-    Stationarity gives
+    With s = sum_x p(x)^a, G is a monotone map of +-E/s (Hayashi, the sign
+    undoing the pair's) or of -E/s^(1/a) (Fehr-Berens): a ratio of a linear
+    term to a convex one, or of a concave term to a linear one.  So G(., q)
+    is quasi-concave, and a KKT point is its maximum (Arrow & Enthoven
+    1961).  Stationarity gives
 
         p(x) proportional to (h_x + k t)_+^(1/(a-1)),   t = p . h,
 
-    with h = c, k = a - 1 and t = E for Hayashi, and h = (1 - a) c,
+    with h = +-c, k = a - 1 and t = +-E for Hayashi, and h = (1 - a) c,
     k = 1/(a - 1) and t = (1 - a) E for Fehr-Berens.  The scalar t is the
     root of f(t) = p(t) . h - t, which is positive at 0 and not positive
     at the other end of the bracket: max h where k > 0 (a > 1), and
@@ -329,7 +324,10 @@ def _p_kkt(kind: str, a: float, c: np.ndarray) -> np.ndarray:
         return p
     if not np.all(np.isfinite(c)):
         _no_root(kind, a, c)
-    h, k = (c, a - 1.0) if kind == "hayashi" else ((1.0 - a) * c, 1.0 / (a - 1.0))
+    if kind == "hayashi":
+        h, k = (c if a < 1.0 else -c), a - 1.0
+    else:
+        h, k = (1.0 - a) * c, 1.0 / (a - 1.0)
     g = 1.0 / (a - 1.0)
     # the largest base (k > 0) or the smallest (k < 0) is h_ref + k t
     h_ref = float(h.max()) if k > 0.0 else float(h.min())
@@ -432,11 +430,17 @@ def p_step_numeric(
 
 
 def _check_numeric_settings(iters: int, step: float) -> None:
-    """Reject ascent settings that would leave the prior where it is."""
-    if not iters >= 1:
-        raise DomainError(f"numeric ascent needs at least 1 round per prior step, got {iters!r}")
+    """Reject ascent settings that would leave the prior where it is, and a
+    round count that is not an integer."""
+    _check_count("numeric ascent rounds per prior step", iters)
     if not 0.0 < step < math.inf:
         raise DomainError(f"numeric ascent step must be finite and positive, got {step!r}")
+
+
+def _check_count(what: str, n) -> None:
+    """DomainError unless n is an integer of at least 1."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise DomainError(f"{what} must be an integer of at least 1, got {n!r}")
 
 
 def _p_numeric(spec: FunctionalSpec, c: np.ndarray, p, iters: int, step: float) -> np.ndarray:
@@ -472,19 +476,15 @@ def _prior_objective(spec: FunctionalSpec, c: np.ndarray):
     """`value(p)` and `grad(p)` of p -> G(p, q) for fixed q, each O(|X|),
     from the coefficients c of E = p . c (`_input_coeffs`).
 
-    With s = sum_x p(x)^a, the gradients are, up to a constant common to
-    all inputs (which the ascent step ignores):
-
-        shannon    -c - log p          (c is the expected log loss)
-        arimoto    (a/(a-1)) (c/E - p^(a-1)/s)
-        hayashi    (1/(a-1)) (c/E - a p^(a-1)/s)
-        fb         c/E - (a/(a-1)) p^(a-1)/s
-        generic    eta'(F(p)) grad F(p) - eta'(E) c
+    For every kind the gradient is eta'(F(p)) grad F(p) - eta'(E) c, from
+    the pair's grad_f (at p nudged to the interior, as in `loss_from_core`)
+    and eta' by a central difference.  The ascent step ignores a constant
+    common to all inputs, such as the -1 in Shannon's grad F.
 
     The gradient is -inf off the support and on inputs whose c is
     infinite (G is -inf while they keep mass), so a step empties them.
     """
-    kind, a, pair = spec.kind, spec.alpha, spec.pair
+    pair = spec.pair
     bad = ~np.isfinite(c)
     c = np.where(bad, 0.0, c)
     keep, any_bad = ~bad, bool(bad.any())
@@ -497,20 +497,8 @@ def _prior_objective(spec: FunctionalSpec, c: np.ndarray):
     def grad(p: np.ndarray) -> np.ndarray:
         e = float(p.dot(c))
         with np.errstate(divide="ignore", invalid="ignore"):
-            if kind == "shannon":
-                g = -c - np.log(p)
-            elif kind == "generic":
-                z = pair.grad_f((1.0 - GRAD_MIX) * p + GRAD_MIX / p.size)
-                g = _eta_slope(pair, pair.F(p)) * z - _eta_slope(pair, e) * c
-            else:
-                t = p ** (a - 1.0)
-                t = t / (t * p).sum()
-                if kind == "hayashi":
-                    g = (c / e - a * t) / (a - 1.0)
-                elif kind == "fb":
-                    g = c / e - (a / (a - 1.0)) * t
-                else:
-                    g = (a / (a - 1.0)) * (c / e - t)
+            z = pair.grad_f((1.0 - GRAD_MIX) * p + GRAD_MIX / p.size)
+            g = _eta_slope(pair, pair.F(p)) * z - _eta_slope(pair, e) * c
         return np.where((p > 0.0) & keep, g, -math.inf)
 
     return value, grad

@@ -125,7 +125,7 @@ def test_criterion_04_variational_identity():
             assert abs(best - target) <= 1e-8
             if trial % 8 == 0:  # 25 instances x 20 families = 500 per spec
                 for _ in range(20):
-                    q = QFamily.from_columns([rand_pmf(rng, m) for _ in range(n)])
+                    q = QFamily(np.column_stack([rand_pmf(rng, m).probs for _ in range(n)]))
                     assert eval_functional(spec, p, w, q) <= best + 1e-9
     _passed(4, "functional maximum equals mutual information; no family beats the step")
 

@@ -211,12 +211,18 @@ class TestTraceAndConfig:
         for bad in (0.0, 1.0, -1e-3, 2.0):
             with pytest.raises(DomainError):
                 SolverConfig(spec=shannon_spec(), epsilon=bad)
+        # an iteration budget is an integer of at least 1
+        for bad in (0, -3, 2.5, 3.0, math.nan, "10"):
+            with pytest.raises(DomainError):
+                SolverConfig(spec=shannon_spec(), max_iter=bad)
 
     @pytest.mark.parametrize("step,iters", [(0.0, 200), (-1.0, 200), (math.nan, 200),
-                                            (math.inf, 200), (0.5, 0), (0.5, -5)])
+                                            (math.inf, 200), (0.5, 0), (0.5, -5),
+                                            (0.5, 2.5), (0.5, 3.0)])
     def test_numeric_settings_validation(self, step, iters):
         # each of these would leave the prior unchanged (or, for an infinite
-        # step, never finish a round), and the run would report convergence
+        # step, never finish a round), and the run would report convergence;
+        # a round count that is no integer would fail inside range()
         with pytest.raises(DomainError):
             SolverConfig(spec=hayashi_spec(2.0), numeric_step=step, numeric_iters=iters)
         w = bsc(0.1)

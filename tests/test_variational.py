@@ -8,6 +8,7 @@ import pytest
 
 from genmi import (
     DomainError,
+    FunctionalSpec,
     NonFinite,
     Pmf,
     QFamily,
@@ -34,7 +35,15 @@ from genmi import (
     uniform,
     variational,
 )
-from genmi.variational import _eval, _input_coeffs, _p_numeric, _prior_objective
+from genmi.scoring import loss_from_core
+from genmi.variational import (
+    _QUIET,
+    _eval,
+    _input_coeffs,
+    _loss_cells,
+    _p_numeric,
+    _prior_objective,
+)
 
 from conftest import rand_channel, rand_pmf
 
@@ -50,7 +59,7 @@ def all_specs(alpha):
 
 
 def random_family(rng, m, n, floor=1e-3):
-    return QFamily.from_columns([rand_pmf(rng, m, floor=floor) for _ in range(n)])
+    return QFamily(np.column_stack([rand_pmf(rng, m, floor=floor).probs for _ in range(n)]))
 
 
 class TestEvalFunctional:
@@ -108,6 +117,34 @@ class TestEvalFunctional:
                     lhs = eval_functional(gen, p, w, q)
                     rhs = eval_functional(spec, p, w, q)
                     assert lhs == pytest.approx(rhs, abs=1e-7)
+                    # the closed cells are the pair's proper loss, in its sign (atol for
+                    # cells where the loss crosses 0 and O(1) terms cancel)
+                    with np.errstate(**_QUIET):
+                        cells = _loss_cells(spec, q.cols, np.ones(n, dtype=bool))
+                    for y in range(n):
+                        proper = loss_from_core(spec.pair.F, spec.pair.grad_f, q.cols[:, y])
+                        np.testing.assert_allclose(cells[:, y], proper, rtol=1e-10, atol=1e-14,
+                                                   err_msg=f"{spec.kind} order {a}")
+
+
+class TestFunctionalSpec:
+    def test_order_is_the_pairs(self):
+        assert hayashi_spec(3.0).alpha == 3.0
+        assert shannon_spec().alpha is None
+        assert generic_spec(fehr_berens_pair(2.5)).alpha == 2.5
+        # there is no second order to disagree with the pair's
+        with pytest.raises(TypeError):
+            FunctionalSpec(kind="hayashi", pair=hayashi_pair(2.0), alpha=3.0)
+
+    @pytest.mark.parametrize("kind,pair", [
+        ("hayashi", arimoto_pair(2.0)), ("fb", hayashi_pair(2.0)),
+        ("arimoto_a1", hayashi_pair(0.5)), ("arimoto_a2", fehr_berens_pair(3.0)),
+        ("shannon", arimoto_pair(2.0)), ("arimoto_a2", shannon_pair()),
+        ("bogus", shannon_pair()),
+    ], ids=lambda v: v if isinstance(v, str) else v.name)
+    def test_built_in_kind_rejects_another_measures_pair(self, kind, pair):
+        with pytest.raises(UnsupportedSpec):
+            FunctionalSpec(kind=kind, pair=pair)
 
 
 class TestSubnormalPrior:
