@@ -132,9 +132,8 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
                 p = _p_numeric(spec, c, p, cfg.numeric_iters, cfg.numeric_step)
             cells, value = table(p)
             if value < trace[-1] - 1e-8:
-                raise Diverged(
-                    f"objective decreased from {trace[-1]:.12g} to {value:.12g}"
-                )
+                raise Diverged(f"iteration {len(trace)}: objective decreased "
+                               f"from {trace[-1]:.12g} to {value:.12g}")
             gain = abs(value - trace[-1])
             trace.append(value)
             if cfg.relative:

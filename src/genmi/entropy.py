@@ -30,8 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadAlpha, DimensionMismatch, DomainError, UnsupportedSpec
-from .simplex import Channel, Pmf
+from .errors import BadAlpha, DomainError, UnsupportedSpec
+from .simplex import Channel, Pmf, posterior
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,15 @@ class EntropyPair:
     `eta_domain` is the open interval of arguments eta accepts; feeding it
     a value outside raises DomainError rather than silently flipping signs.
     `grad_f` is a subgradient of F, guaranteed on the simplex interior only.
+    `eta_slope` is eta's derivative; with grad_f it gives the prior gradient
+    of the variational functional, so a custom pair supplies it too.
     """
 
     name: str
     F: Callable[[np.ndarray], np.ndarray | float]
     grad_f: Callable[[np.ndarray], np.ndarray]
     eta: Callable[[np.ndarray | float], np.ndarray | float]
+    eta_slope: Callable[[float], float]
     eta_domain: tuple[float, float]
     alpha: float | None = None
 
@@ -85,6 +88,7 @@ def shannon_pair() -> EntropyPair:
         F=_shannon_core,
         grad_f=lambda p: -np.log(p) - 1.0,
         eta=lambda t: t,
+        eta_slope=lambda t: 1.0,
         eta_domain=(-np.inf, np.inf),
     )
 
@@ -108,6 +112,7 @@ def arimoto_pair(alpha: float) -> EntropyPair:
         F=F,
         grad_f=grad_f,
         eta=lambda t: k * np.log(sign * t),
+        eta_slope=lambda t: k / t,
         eta_domain=(0.0, np.inf) if a < 1.0 else (-np.inf, 0.0),
         alpha=a,
     )
@@ -125,6 +130,7 @@ def hayashi_pair(alpha: float) -> EntropyPair:
         F=lambda p: sign * (p ** a).sum(axis=0),
         grad_f=lambda p: sign * a * p ** (a - 1.0),
         eta=lambda t: k * np.log(sign * t),
+        eta_slope=lambda t: k / t,
         eta_domain=(0.0, np.inf) if a < 1.0 else (-np.inf, 0.0),
         alpha=a,
     )
@@ -149,6 +155,7 @@ def fehr_berens_pair(alpha: float) -> EntropyPair:
         F=F,
         grad_f=grad_f,
         eta=lambda t: -np.log(-t),
+        eta_slope=lambda t: -1.0 / t,
         eta_domain=(-np.inf, 0.0),
         alpha=a,
     )
@@ -165,13 +172,9 @@ def conditional_entropy(pair: EntropyPair, p_x: Pmf, w: Channel) -> float:
     F runs once, on the matrix of posterior columns.  Outputs with zero
     marginal mass have no column and contribute nothing to the average.
     """
-    if len(p_x) != w.nx:
-        raise DimensionMismatch(f"prior has {len(p_x)} entries, channel has {w.nx} rows")
-    cells = p_x.probs[:, None] * w.rows
-    p_y = cells.sum(axis=0)
-    sup = p_y > 0.0
-    f_cols = _core_values(pair, cells[:, sup] / p_y[sup])
-    return pair.eta_checked(float(np.sum(p_y[sup] * f_cols)))
+    post = posterior(p_x, w)
+    f_cols = _core_values(pair, post.cols)
+    return pair.eta_checked(float(np.sum(post.p_y[post.support] * f_cols)))
 
 
 def mutual_information(pair: EntropyPair, p_x: Pmf, w: Channel) -> MiReport:

@@ -39,48 +39,48 @@ def matrix_prior_value(m: GainMatrix, p_x: Pmf) -> float:
     """Optimal expected gain (or minimal expected loss) ignoring the output."""
     if m.nx != len(p_x):
         raise DimensionMismatch("gain matrix rows must match the prior alphabet")
-    per_action = p_x.probs @ m.values
-    return float(per_action.max() if m.kind == "gain" else per_action.min())
+    return float(_best(m, p_x.probs @ m.values))
 
 
 def bayes_value(m: GainMatrix, p_x: Pmf, w: Channel) -> float:
     """Optimal expected value when acting on the channel output.
 
     For each supported output the best action is chosen against the
-    posterior (ties broken toward the smallest action index, which never
-    affects the value), then averaged over the output marginal.
+    posterior column, all columns at once, and the optima are averaged
+    over the output marginal.
     """
-    if m.nx != len(p_x):
-        raise DimensionMismatch("gain matrix rows must match the prior alphabet")
-    post = posterior(p_x, w)
-    total = 0.0
-    for y in post.support:
-        per_action = post.cols[y].probs @ m.values
-        best = per_action.max() if m.kind == "gain" else per_action.min()
-        total += post.p_y[y] * float(best)
-    return total
+    return _matrix_values(m, p_x, w)[2]
 
 
 def evsi(m: GainMatrix, p_x: Pmf, w: Channel) -> LeakageReport:
     """Additive value of observing the output, for a finite action set."""
-    prior = matrix_prior_value(m, p_x)
-    post = bayes_value(m, p_x, w)
+    prior, _, post = _matrix_values(m, p_x, w)
     additive = post - prior if m.kind == "gain" else prior - post
     return LeakageReport(prior_value=prior, posterior_value=post, additive=additive)
+
+
+def _best(m: GainMatrix, per_action: np.ndarray):
+    """The optimum over the actions (last axis): max for gains, min for losses."""
+    return per_action.max(axis=-1) if m.kind == "gain" else per_action.min(axis=-1)
+
+
+def _matrix_values(m: GainMatrix, p_x: Pmf, w: Channel):
+    """Prior optimum, per-output optima and their average, for a finite action set."""
+    prior = matrix_prior_value(m, p_x)
+    post = posterior(p_x, w)
+    per_y = _best(m, post.cols.T @ m.values)
+    return prior, per_y, float(post.p_y[post.support] @ per_y)
 
 
 def _scoring_values(rule: ScoringRule, p_x: Pmf, w: Channel):
     """Prior optimum, per-output optima, and the averaged posterior optimum."""
     prior = expected_score(rule, p_x, optimal_response(rule, p_x))
     post = posterior(p_x, w)
-    per_y = {}
-    total = 0.0
-    for y in post.support:
-        belief = post.cols[y]
-        v = expected_score(rule, belief, optimal_response(rule, belief))
-        per_y[y] = v
-        total += post.p_y[y] * v
-    return prior, per_y, total
+    per_y = []
+    for col in post.cols.T:
+        belief = Pmf(col)
+        per_y.append(expected_score(rule, belief, optimal_response(rule, belief)))
+    return prior, per_y, float(post.p_y[post.support] @ per_y)
 
 
 def evsi_scoring(rule: ScoringRule, p_x: Pmf, w: Channel) -> LeakageReport:
@@ -95,7 +95,7 @@ def evsi_scoring(rule: ScoringRule, p_x: Pmf, w: Channel) -> LeakageReport:
     multiplicative = None
     if rule.c_of_g is not None:
         try:
-            multiplicative = _log_ratio(rule.c_of_g, prior, per_y.values(), post_value)
+            multiplicative = _log_ratio(rule.c_of_g, prior, per_y, post_value)
         except (MixedSign, ZeroDenominator):
             multiplicative = None
     return LeakageReport(
@@ -114,8 +114,7 @@ def mevsi_scoring(rule: ScoringRule, p_x: Pmf, w: Channel) -> float:
     """
     if rule.c_of_g is None:
         raise DomainError(f"rule {rule.name!r} declares no multiplicative constant")
-    prior, per_y, post_value = _scoring_values(rule, p_x, w)
-    return _log_ratio(rule.c_of_g, prior, per_y.values(), post_value)
+    return _log_ratio(rule.c_of_g, *_scoring_values(rule, p_x, w))
 
 
 def mevsi_matrix(m: GainMatrix, p_x: Pmf, w: Channel, c: float | None = None) -> float:
@@ -134,20 +133,12 @@ def mevsi_matrix(m: GainMatrix, p_x: Pmf, w: Channel, c: float | None = None) ->
         c = sign
     elif c * sign <= 0.0:
         raise DomainError(f"constant c = {c:g} must share the matrix sign {sign:+g}")
-    prior = matrix_prior_value(m, p_x)
-    post = posterior(p_x, w)
-    per_y = [
-        float((post.cols[y].probs @ vals).max() if m.kind == "gain"
-              else (post.cols[y].probs @ vals).min())
-        for y in post.support
-    ]
-    total = sum(post.p_y[y] * v for y, v in zip(post.support, per_y))
-    return _log_ratio(c, prior, per_y, total)
+    return _log_ratio(c, *_matrix_values(m, p_x, w))
 
 
 def _log_ratio(c: float, prior: float, per_y_values, posterior_value: float) -> float:
-    vals = [prior, *per_y_values]
-    if any(v > 0.0 for v in vals) and any(v < 0.0 for v in vals):
+    vals = np.append(per_y_values, prior)
+    if (vals > 0.0).any() and (vals < 0.0).any():
         raise MixedSign("optimal values take both signs on this instance")
     if prior == 0.0:
         raise ZeroDenominator("prior optimal value is zero; ratio undefined")

@@ -1,6 +1,6 @@
 """Finite probability distributions, channels, posteriors, and tilts.
 
-All containers are immutable (frozen dataclasses over read-only float64
+All containers are immutable (frozen dataclasses over read-only
 arrays) and every operation is a pure function, so objects can be shared
 freely across threads.  Conventions used throughout the package:
 
@@ -100,16 +100,18 @@ class Channel:
 
 @dataclass(frozen=True)
 class Posterior:
-    """Output marginal plus the posterior over X for each supported output.
+    """Output marginal plus the posterior columns of the supported outputs.
 
-    `cols` maps each y with positive marginal mass to the conditional
-    distribution of X given Y = y; outputs with zero mass are excluded
-    from `support` and have no column.
+    All three fields are read-only arrays.  `p_y` is the output marginal
+    p_x @ w over all |Y| outputs, as computed (not renormalized);
+    `support` holds the indices y with p_y[y] > 0, in increasing order;
+    `cols` is the |X| x |support| matrix whose column j is the distribution
+    of X given Y = support[j].  Outputs with zero mass have no column.
     """
 
-    p_y: Pmf
-    cols: dict[int, Pmf]
-    support: tuple[int, ...]
+    p_y: np.ndarray
+    cols: np.ndarray
+    support: np.ndarray
 
 
 def make_pmf(values) -> Pmf:
@@ -164,14 +166,15 @@ def uniform(m: int) -> Pmf:
 
 
 def posterior(p_x: Pmf, w: Channel) -> Posterior:
-    """Bayes inversion of (p_x, w): output marginal and per-output posteriors."""
+    """Bayes inversion of (p_x, w): output marginal and posterior columns."""
     if len(p_x) != w.nx:
         raise DimensionMismatch(f"prior has {len(p_x)} entries, channel has {w.nx} rows")
     cells = p_x.probs[:, None] * w.rows
     p_y = cells.sum(axis=0)
-    support = tuple(int(y) for y in np.flatnonzero(p_y > 0.0))
-    cols = {y: Pmf(cells[:, y] / p_y[y]) for y in support}
-    return Posterior(p_y=make_pmf(p_y), cols=cols, support=support)
+    support = np.flatnonzero(p_y > 0.0)
+    support.flags.writeable = False
+    return Posterior(p_y=_freeze(p_y), cols=_freeze(cells[:, support] / p_y[support]),
+                     support=support)
 
 
 def alpha_tilt(p: Pmf, alpha: float) -> Pmf:

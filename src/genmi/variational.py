@@ -274,7 +274,7 @@ def p_step_closed(spec: FunctionalSpec, w: Channel, q: QFamily) -> Pmf:
 
 def _p_exact(spec: FunctionalSpec, c: np.ndarray) -> np.ndarray:
     """The prior of `p_step_closed` from the coefficients c (+inf where an
-    input's loss is).  After the NonFinite guards the result is exp(<= 0)
+    input's loss is).  After the NonFinite guard the result is exp(<= 0)
     over a sum >= exp(0) = 1, or `_p_kkt`'s weights over their sum, so it
     passes Pmf's checks.  The caller holds `np.errstate(**_QUIET)`."""
     kind, a = spec.kind, spec.alpha
@@ -287,12 +287,9 @@ def _p_exact(spec: FunctionalSpec, c: np.ndarray) -> np.ndarray:
 
     top = log_p.max()
     if not math.isfinite(top):
-        raise NonFinite("prior update collapsed; response family degenerate")
+        _step_failed(kind, a, c, "prior update collapsed, no input has a finite weight,")
     p = np.exp(log_p - top)
-    total = p.sum()
-    if not total > 0.0:
-        raise NonFinite("prior update collapsed to zero mass")
-    return p / total
+    return p / p.sum()
 
 
 def _p_kkt(kind: str, a: float, c: np.ndarray) -> np.ndarray:
@@ -323,7 +320,7 @@ def _p_kkt(kind: str, a: float, c: np.ndarray) -> np.ndarray:
         p[~inf] = _p_kkt(kind, a, c[~inf])
         return p
     if not np.all(np.isfinite(c)):
-        _no_root(kind, a, c)
+        _step_failed(kind, a, c, "no root of the KKT equation")
     if kind == "hayashi":
         h, k = (c if a < 1.0 else -c), a - 1.0
     else:
@@ -333,7 +330,7 @@ def _p_kkt(kind: str, a: float, c: np.ndarray) -> np.ndarray:
     h_ref = float(h.max()) if k > 0.0 else float(h.min())
     hi = h_ref / abs(k) if k < 0.0 else h_ref
     if not 0.0 < hi < math.inf:
-        _no_root(kind, a, c)
+        _step_failed(kind, a, c, "no root of the KKT equation")
 
     def f(t: float):
         """(f(t), u, sum u) with p(t) = u / sum u, u scaled to at most 1."""
@@ -347,7 +344,7 @@ def _p_kkt(kind: str, a: float, c: np.ndarray) -> np.ndarray:
 
     lo, top = f(0.0), f(hi)
     if not lo[0] > 0.0:
-        _no_root(kind, a, c)
+        _step_failed(kind, a, c, "no root of the KKT equation")
     if top[0] >= 0.0:  # f(hi) <= 0 holds exactly; this is the root, rounded
         return top[1] / top[2]
     # as f falls with slope <= -1, |f| <= tol puts t within tol of the root
@@ -392,9 +389,10 @@ def _bracketed_root(f, lo, hi, tol: float):
             hi = new
 
 
-def _no_root(kind: str, a: float, c: np.ndarray):
+def _step_failed(kind: str, a: float | None, c: np.ndarray, why: str):
+    order = "" if a is None else f", order {a:g}"
     raise NonFinite(
-        f"exact prior step ({kind}, order {a:g}): no root of the KKT equation "
+        f"exact prior step ({kind}{order}): {why} "
         f"for the input coefficients c = {np.array2string(c, precision=6)}"
     )
 
@@ -416,7 +414,9 @@ def p_step_numeric(
     round gains less than 1e-12.  The start must be strictly interior;
     a coordinate may reach 0 along the way and then stays 0.  This is the
     prior step of the generic kind; for the built-in kinds it is an
-    independent cross-check of `p_step_closed`.
+    independent cross-check of `p_step_closed`.  NonFinite if G is still
+    -inf where the ascent ends: every input left has infinite loss, or E
+    lies outside eta's domain.
     """
     if len(p_init) != w.nx:
         raise DimensionMismatch("initial prior and channel input alphabets differ")
@@ -469,6 +469,13 @@ def _p_numeric(spec: FunctionalSpec, c: np.ndarray, p, iters: int, step: float) 
             p, f = cand, f_cand
             break
         p, f = cand, f_cand
+    if f == -math.inf:  # every trial tied with it: returning p would pass off G = -inf
+        fin = np.isfinite(c)
+        lost = np.flatnonzero(~fin & (p > 0.0))
+        why = (f"inputs {lost.tolist()} have mass and infinite loss" if lost.size else
+               f"E = p . c = {float(p[fin] @ c[fin]):g} lies outside eta's domain "
+               f"{spec.pair.eta_domain}")
+        raise NonFinite(f"numeric prior step ({spec.pair.name}): G is -inf at the end, as {why}")
     return p
 
 
@@ -478,8 +485,8 @@ def _prior_objective(spec: FunctionalSpec, c: np.ndarray):
 
     For every kind the gradient is eta'(F(p)) grad F(p) - eta'(E) c, from
     the pair's grad_f (at p nudged to the interior, as in `loss_from_core`)
-    and eta' by a central difference.  The ascent step ignores a constant
-    common to all inputs, such as the -1 in Shannon's grad F.
+    and eta_slope.  The ascent step ignores a constant common to all
+    inputs, such as the -1 in Shannon's grad F.
 
     The gradient is -inf off the support and on inputs whose c is
     infinite (G is -inf while they keep mass), so a step empties them.
@@ -495,10 +502,10 @@ def _prior_objective(spec: FunctionalSpec, c: np.ndarray):
         return _outer_value(spec, p, float(p.dot(c)))
 
     def grad(p: np.ndarray) -> np.ndarray:
-        e = float(p.dot(c))
+        e = p.dot(c)  # a numpy float: eta_slope(0.0) is inf, not ZeroDivisionError
         with np.errstate(divide="ignore", invalid="ignore"):
             z = pair.grad_f((1.0 - GRAD_MIX) * p + GRAD_MIX / p.size)
-            g = _eta_slope(pair, pair.F(p)) * z - _eta_slope(pair, e) * c
+            g = pair.eta_slope(pair.F(p)) * z - pair.eta_slope(e) * c
         return np.where((p > 0.0) & keep, g, -math.inf)
 
     return value, grad
@@ -517,10 +524,3 @@ def _coeffs(w: np.ndarray, pos: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """c_x: w(y|x) times the loss cell, summed over the outputs with
     w(y|x) > 0.  The caller holds `np.errstate(**_QUIET)`."""
     return np.where(pos, w * cells, 0.0).sum(axis=1)
-
-
-def _eta_slope(pair: EntropyPair, t: float) -> float:
-    """eta'(t) by a central difference that stays inside eta's domain."""
-    lo, hi = pair.eta_domain
-    h = min(1e-6 * (abs(t) or 1.0), 0.5 * (t - lo), 0.5 * (hi - t))
-    return (pair.eta(t + h) - pair.eta(t - h)) / (2.0 * h)

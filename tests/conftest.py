@@ -33,9 +33,9 @@ def binary_entropy(eps: float) -> float:
 #: array to one number, the other fails on anything but a vector.
 SCALAR_ONLY_PAIRS = (
     EntropyPair(name="gini-scalar", F=lambda p: 1.0 - float(np.sum(p * p)),
-                grad_f=lambda p: -2.0 * p, eta=lambda t: t,
+                grad_f=lambda p: -2.0 * p, eta=lambda t: t, eta_slope=lambda t: 1.0,
                 eta_domain=(-math.inf, math.inf)),
     EntropyPair(name="shannon-loop", F=lambda p: -sum(x * math.log(x) for x in p if x > 0.0),
-                grad_f=lambda p: -np.log(p) - 1.0, eta=lambda t: t,
+                grad_f=lambda p: -np.log(p) - 1.0, eta=lambda t: t, eta_slope=lambda t: 1.0,
                 eta_domain=(-math.inf, math.inf)),
 )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from genmi import (
+    Diverged,
     DomainError,
     EntropyPair,
     SolverConfig,
@@ -102,7 +103,9 @@ class TestSolveNumeric:
         rng = np.random.default_rng(43)
         for _ in range(4):
             w = rand_channel(rng, 2, 2, floor=0.02)
-            for spec in (hayashi_spec(2.0), fb_spec(2.0)):
+            # at order 2 the two measures coincide; the other orders tell them apart
+            for spec in (hayashi_spec(0.5), hayashi_spec(1.5), hayashi_spec(2.0),
+                         hayashi_spec(3.0), fb_spec(1.5), fb_spec(2.0), fb_spec(3.0)):
                 result = solve(SolverConfig(spec=spec, epsilon=1e-10, max_iter=5000), w)
                 oracle = brute_force_capacity(spec, w, 1e-3)
                 start = mutual_information(spec.pair, uniform(2), w).mi
@@ -196,6 +199,17 @@ class TestTraceAndConfig:
                 result = solve(SolverConfig(spec=spec, epsilon=1e-10, max_iter=2000), w)
                 diffs = np.diff(result.trace)
                 assert np.all(diffs >= -slack)
+
+    def test_decrease_is_diverged_naming_iteration_and_values(self, monkeypatch):
+        w = make_channel([[0.9, 0.1], [0.3, 0.7]])
+        first = solve(SolverConfig(spec=shannon_spec(), max_iter=1), w).capacity
+        # a prior step that jumps to a vertex on its second call: I = 0 there
+        calls, exact = [], capacity._p_exact
+        monkeypatch.setattr(capacity, "_p_exact", lambda spec, c: calls.append(1) or (
+            exact(spec, c) if len(calls) == 1 else np.array([1.0, 0.0])))
+        with pytest.raises(Diverged, match=rf"^iteration 2: objective decreased from "
+                                           rf"{first:.12g} to -?0$"):
+            solve(SolverConfig(spec=shannon_spec()), w)
 
     def test_trace_rows(self):
         result = solve(SolverConfig(spec=shannon_spec(), epsilon=1e-10),
@@ -432,7 +446,7 @@ class TestBatchMi:
         pair = shannon_pair()
         scalar_eta = EntropyPair(name="scalar-eta", F=pair.F, grad_f=pair.grad_f,
                                  eta=lambda t: math.log(math.exp(t)),
-                                 eta_domain=pair.eta_domain)
+                                 eta_slope=pair.eta_slope, eta_domain=pair.eta_domain)
         w = zero_mass_column_channel()
         assert conditional_entropy(scalar_eta, uniform(3), w) == pytest.approx(
             conditional_entropy(pair, uniform(3), w), abs=1e-12)

@@ -95,6 +95,7 @@ class TestUnconditional:
             F=lambda p: 2.0,
             grad_f=lambda p: np.zeros_like(p),
             eta=lambda t: t,
+            eta_slope=lambda t: 1.0,
             eta_domain=(0.0, 1.0),
         )
         with pytest.raises(DomainError):
@@ -138,7 +139,8 @@ class TestConditional:
         calls = []
         base = shannon_pair()
         counting = EntropyPair(name="counting", F=lambda p: calls.append(p.shape) or base.F(p),
-                               grad_f=base.grad_f, eta=base.eta, eta_domain=base.eta_domain)
+                               grad_f=base.grad_f, eta=base.eta, eta_slope=base.eta_slope,
+                               eta_domain=base.eta_domain)
         w = rand_channel(np.random.default_rng(37), 3, 5)
         p = make_pmf([0.2, 0.3, 0.5])
         made = []

@@ -124,7 +124,8 @@ class TestOptimalResponse:
 def posterior_score(rule, p, w, family):
     """sum_y p_Y(y) E_{X|Y=y}[score(X, family[y])] over the supported outputs."""
     post = posterior(p, w)
-    return sum(post.p_y[y] * expected_score(rule, post.cols[y], family[y]) for y in post.support)
+    return sum(post.p_y[y] * expected_score(rule, Pmf(post.cols[:, j]), family[y])
+               for j, y in enumerate(post.support))
 
 
 class TestPosteriorExpectedScore:

@@ -128,28 +128,28 @@ class TestChannelRows:
 class TestPosterior:
     def test_identity_channel(self, uniform2):
         post = posterior(uniform2, make_channel(np.eye(2)))
-        np.testing.assert_allclose(post.cols[0].probs, [1, 0], atol=0)
-        np.testing.assert_allclose(post.cols[1].probs, [0, 1], atol=0)
+        np.testing.assert_allclose(post.cols[:, 0], [1, 0], atol=0)
+        np.testing.assert_allclose(post.cols[:, 1], [0, 1], atol=0)
 
     def test_independent_channel_returns_prior(self):
         p = make_pmf([0.3, 0.7])
         w = make_channel([[0.2, 0.8], [0.2, 0.8]])
         post = posterior(p, w)
-        for y in post.support:
-            np.testing.assert_allclose(post.cols[y].probs, p.probs, atol=1e-12)
+        for col in post.cols.T:
+            np.testing.assert_allclose(col, p.probs, atol=1e-12)
 
     def test_bsc_by_hand(self, bsc10, uniform2):
         # Bayes rule oracle: col(y=0) = (0.45, 0.05)/0.5
         post = posterior(uniform2, bsc10)
-        np.testing.assert_allclose(post.p_y.probs, [0.5, 0.5], atol=1e-15)
-        np.testing.assert_allclose(post.cols[0].probs, [0.9, 0.1], atol=1e-12)
-        np.testing.assert_allclose(post.cols[1].probs, [0.1, 0.9], atol=1e-12)
+        np.testing.assert_allclose(post.p_y, [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(post.cols[:, 0], [0.9, 0.1], atol=1e-12)
+        np.testing.assert_allclose(post.cols[:, 1], [0.1, 0.9], atol=1e-12)
 
     def test_point_mass_prior_selects_row(self, bsc10):
         post = posterior(make_pmf([1, 0]), bsc10)
-        np.testing.assert_allclose(post.p_y.probs, [0.9, 0.1], atol=0)
-        for y in post.support:
-            np.testing.assert_allclose(post.cols[y].probs, [1.0, 0.0], atol=0)
+        np.testing.assert_allclose(post.p_y, [0.9, 0.1], atol=0)
+        for col in post.cols.T:
+            np.testing.assert_allclose(col, [1.0, 0.0], atol=0)
 
     def test_dimension_mismatch(self, bsc10):
         with pytest.raises(DimensionMismatch):
@@ -159,8 +159,9 @@ class TestPosterior:
         p = make_pmf([1.0, 0.0])
         w = make_channel([[1.0, 0.0], [0.0, 1.0]])
         post = posterior(p, w)
-        assert post.support == (0,)
-        assert 1 not in post.cols
+        np.testing.assert_array_equal(post.p_y, [1.0, 0.0])
+        assert post.support.tolist() == [0]
+        assert post.cols.shape == (2, 1)
 
     def test_reconstruction_property(self):
         rng = np.random.default_rng(42)
@@ -169,8 +170,8 @@ class TestPosterior:
             p = rand_pmf(rng, m)
             w = rand_channel(rng, m, n)
             post = posterior(p, w)
-            for y in post.support:
-                lhs = post.p_y[y] * post.cols[y].probs
+            for j, y in enumerate(post.support):
+                lhs = post.p_y[y] * post.cols[:, j]
                 rhs = p.probs * w.rows[:, y]
                 np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 

@@ -320,6 +320,11 @@ class TestPStepClosed:
             w = rand_channel(rng, m, n, floor=1e-3)
             fam = random_family(rng, m, n, floor=1e-3)
             v_exact = eval_functional(spec, p_step_closed(spec, w, fam), w, fam)
+            if eval_functional(spec, uniform(m), w, fam) == -math.inf:
+                # E leaves eta's domain at the start: no ascent, a typed error
+                with pytest.raises(NonFinite, match="outside eta's domain"):
+                    p_step_numeric(spec, w, fam, uniform(m), iters=2000)
+                continue
             numeric = p_step_numeric(spec, w, fam, uniform(m), iters=2000)
             assert eval_functional(spec, numeric, w, fam) <= v_exact + 1e-12
 
@@ -357,6 +362,13 @@ class TestPStepClosed:
             assert eval_functional(spec, uniform(2), w, fam) == -math.inf
             with pytest.raises(NonFinite, match=rf"exact prior step \({spec.kind}, order 2\)"):
                 p_step_closed(spec, w, fam)
+
+    def test_collapsed_update_names_kind_and_coefficients(self):
+        # q swaps the outputs of the identity channel: every input's loss is +inf
+        fam = QFamily(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(NonFinite, match=r"exact prior step \(shannon\): prior update "
+                                            r"collapsed.* c = \[inf inf\]"):
+            p_step_closed(shannon_spec(), make_channel(np.eye(2)), fam)
 
 
 class TestPStepNumeric:
@@ -475,6 +487,19 @@ class TestPriorGradient:
             out = _p_numeric(spec, _input_coeffs(spec, w.rows, q), p, 50, 0.5)
             assert out[1] == 0.0
             assert math.isfinite(_eval(spec, out, w.rows, q))
+
+    def test_ascent_that_cannot_leave_minus_inf_is_a_typed_error(self):
+        # fehr-berens: E = p . c > 0 at the start, outside eta's domain (-inf, 0)
+        w = make_channel([[0.9, 0.1], [0.2, 0.8]])
+        fam = QFamily(np.array([[0.01, 0.01], [0.99, 0.99]]))
+        for a in (2.0, 3.0):
+            with pytest.raises(NonFinite, match=rf"numeric prior step \(fehr-berens\({a:g}\)\): "
+                                                r"G is -inf .* outside eta's domain"):
+                p_step_numeric(fb_spec(a), w, fam, make_pmf([0.99, 0.01]))
+        # every input has infinite loss, so no step can empty them
+        swap = QFamily(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(NonFinite, match=r"inputs \[0, 1\] have mass and infinite loss"):
+            p_step_numeric(shannon_spec(), make_channel(np.eye(2)), swap, uniform(2))
 
     def test_public_step_rejects_boundary_start(self, bsc10):
         spec = hayashi_spec(2.0)
