@@ -6,12 +6,16 @@ full round.  The outer step is exact for every built-in measure (a
 closed form for Shannon and Arimoto, a root-found KKT point for Hayashi
 and Fehr-Berens); the generic functional, or a solve with
 `force_numeric`, takes a safeguarded exponentiated-gradient ascent on
-the analytic gradient instead.  Each iteration builds one loss-cell
-table, from which it reads both the objective and the coefficients of
-the next prior step.  It stops when the objective gain drops below the
-threshold or the iteration budget runs out; because both half-steps are
-maximizations, the trace can never properly decrease -- a decrease
-beyond 1e-8 is reported as an internal bug.
+the analytic gradient instead.  Each iteration reads the objective and
+the coefficients of the next prior step together: for an exact step
+from matrix-vector products at the posterior (the Blahut-Arimoto form,
+`variational._coeff_kernel`), otherwise from one loss-cell table.
+It stops when the objective gain drops below the threshold or the
+iteration budget runs out; because both half-steps are maximizations,
+the trace can never properly decrease -- a decrease beyond 1e-8 is
+reported as an internal bug.  For Shannon and Arimoto the result also
+carries the dual gap at the returned prior, a certified bound on how
+far the capacity can lie above it.
 
 Inputs are validated at the edges of `solve`: on entry, where the start
 must be strictly interior, and in the Pmf it returns.  In between, the
@@ -41,13 +45,11 @@ from .variational import (
     FunctionalSpec,
     _check_count,
     _check_numeric_settings,
-    _coeffs,
-    _expectation,
-    _loss_cells,
+    _coeff_kernel,
     _outer_value,
     _p_exact,
     _p_numeric,
-    _q_cols,
+    _table_coeffs,
 )
 
 #: Largest simplex grid the oracle will enumerate.
@@ -92,6 +94,9 @@ class SolveResult:
     iterations: int
     trace: tuple[float, ...]
     converged: bool
+    #: The dual bound less the capacity at argmax_p (`_dual_radius`):
+    #: capacity is at most `capacity + gap`.  None where no bound is known.
+    gap: float | None = None
 
 
 def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
@@ -109,28 +114,22 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
         raise DomainError("initial prior must be strictly positive")
 
     exact = spec.has_closed_p_step and not cfg.force_numeric
-    kind, a, wm = spec.kind, spec.alpha, w.rows
-    pos = wm > 0.0
-    used = pos.any(axis=0)
-
-    def table(p):
-        """The response step at p, its loss-cell table and the objective."""
-        joint = p[:, None] * wm
-        cells = _loss_cells(spec, _q_cols(kind, a, p, joint), used)
-        return cells, _outer_value(spec, p, _expectation(joint, cells))
-
+    wm = w.rows
     converged = False
     with np.errstate(**_QUIET):
+        # c and E at the response step of p: matrix-vector products for an
+        # exact step, the loss-cell table otherwise
+        coeffs = (_coeff_kernel if exact else _table_coeffs)(spec, wm)
         p = p_x.probs
-        cells, value = table(p)
-        trace = [value]
+        c, e = coeffs(p)
+        trace = [_outer_value(spec, p, e)]
         for _ in range(cfg.max_iter):
-            c = _coeffs(wm, pos, cells)
             if exact:
                 p = _p_exact(spec, c)
             else:
                 p = _p_numeric(spec, c, p, cfg.numeric_iters, cfg.numeric_step)
-            cells, value = table(p)
+            c, e = coeffs(p)
+            value = _outer_value(spec, p, e)
             if value < trace[-1] - 1e-8:
                 raise Diverged(f"iteration {len(trace)}: objective decreased "
                                f"from {trace[-1]:.12g} to {value:.12g}")
@@ -141,6 +140,7 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
             if gain < cfg.epsilon:
                 converged = True
                 break
+        radius = _dual_radius(spec, wm, p)
 
     return SolveResult(
         capacity=trace[-1],
@@ -148,7 +148,28 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
         iterations=len(trace) - 1,
         trace=tuple(trace),
         converged=converged,
+        gap=None if radius is None else radius - trace[-1],
     )
+
+
+def _dual_radius(spec: FunctionalSpec, w: np.ndarray, p: np.ndarray) -> float | None:
+    """An upper bound on the capacity read from the prior p, where a dual
+    bound is known: max_x D(W_x || pW) for Shannon (Arimoto 1972), and
+    for Arimoto max_x D_a(W_x || Q) with Q proportional to (p^a W^a)^(1/a)
+    (Csiszar 1995), the order-a Renyi divergence
+    D_a(P || Q) = log(sum_y P^a Q^(1-a)) / (a - 1).  None for the other
+    kinds.  +inf if some input reaches an output Q gives no mass.  The
+    caller holds `np.errstate(**_QUIET)`."""
+    kind, a = spec.kind, spec.alpha
+    pos = w > 0.0
+    if kind == "shannon":
+        return float(np.where(pos, w * np.log(w / (p @ w)), 0.0).sum(axis=1).max())
+    if kind not in ("arimoto_a1", "arimoto_a2"):
+        return None
+    q = (p ** a @ w ** a) ** (1.0 / a)
+    q = q / q.sum()
+    terms = np.where(pos, w ** a * q ** (1.0 - a), 0.0).sum(axis=1)
+    return float((np.log(terms) / (a - 1.0)).max())
 
 
 def convergence_trace(result: SolveResult) -> list[tuple[int, float, float | None]]:

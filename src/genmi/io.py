@@ -66,7 +66,7 @@ def _scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format_float(value)
+        return format_float(value + 0.0)  # a zero prints as 0, never -0
     if isinstance(value, (list, tuple, np.ndarray)):
         return format_vector(value)
     return str(value)

@@ -17,7 +17,11 @@ Evaluation sums joint * loss over the cells with joint mass; the prior
 steps sum w * loss over each input's outputs into the coefficients c,
 so that the expectation term is E = p . c.  The rest comes from the
 pair, the same for every kind: G = eta(F(p)) - eta(E) in `_outer_value`,
-and its prior gradient eta'(F(p)) grad F(p) - eta'(E) c.
+and its prior gradient eta'(F(p)) grad F(p) - eta'(E) c.  The table
+serves any response family.  At the response step itself every cell
+factors through p, and for the built-in kinds `_coeff_kernel` reads c
+and E from two matrix-vector products instead; the solver's exact
+steps use it.
 
 Both maximization steps are exact for every built-in kind: the response
 step is the (tilted) posterior, and the prior step is a function of c --
@@ -524,3 +528,100 @@ def _coeffs(w: np.ndarray, pos: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """c_x: w(y|x) times the loss cell, summed over the outputs with
     w(y|x) > 0.  The caller holds `np.errstate(**_QUIET)`."""
     return np.where(pos, w * cells, 0.0).sum(axis=1)
+
+
+def _table_coeffs(spec: FunctionalSpec, w: np.ndarray):
+    """`coeffs(p)` -> (c, E) at q = q_step(p), for any kind, from the
+    loss-cell table: the response columns, one loss per cell, c summed
+    over each input's outputs and E over the cells with joint mass (as
+    `eval_functional` does).  The caller holds `np.errstate(**_QUIET)`."""
+    kind, a = spec.kind, spec.alpha
+    pos = w > 0.0
+    used = pos.any(axis=0)
+
+    def coeffs(p: np.ndarray):
+        joint = p[:, None] * w
+        cells = _loss_cells(spec, _q_cols(kind, a, p, joint), used)
+        return _coeffs(w, pos, cells), _expectation(joint, cells)
+
+    return coeffs
+
+
+def _coeff_kernel(spec: FunctionalSpec, w: np.ndarray):
+    """`coeffs(p)` -> (c, E) at q = q_step(p) for a built-in kind, as
+    `_table_coeffs` gives them, from r = pW and s = p^a W^a.
+
+    At the (tilted) posterior every loss cell factors through p, r, s and
+    the fixed matrices W and W^a, so c takes no table: r and s, then one
+    product back through W or W^a per term (Blahut 1972; Arimoto 1972).
+    With the pair's sign (+ below order 1, - above):
+
+        shannon:     c = -log p - sum_y w log w + W log r
+        arimoto:     c = +-p^(a-1) * W^a s^((1-a)/a)        (both forms)
+        hayashi:     c = +-(a p^(a-1) * W^a r^(1-a) - (a-1) W sigma)
+        fehr-berens: c = W sigma^(1/(a-1)) / (a-1)
+                         - p^(a-1) * W^a (a/(a-1) sigma^((2-a)/(a-1)) r^(1-a))
+
+    with sigma = s r^(-a), the order-a power sum of each posterior column.
+    An input with p(x) = 0 gets the table's coefficient: +inf for Shannon
+    and below order 1, the terms without p^(a-1) above it.  E = p . c over
+    the inputs with mass.  All-zero columns of W enter neither.  Where an
+    output column's r or s is below the smallest normal float (no input
+    with mass reaches it, or its power underflows), the factored form
+    loses the column, and that call reads c and E from the table instead.
+    The caller holds `np.errstate(**_QUIET)`.
+    """
+    table = _table_coeffs(spec, w)
+    kind, a = spec.kind, spec.alpha
+    w = np.ascontiguousarray(w[:, w.any(axis=0)])
+    tiny = np.finfo(np.float64).tiny
+
+    if kind == "shannon":
+        wlogw = np.where(w > 0.0, w * np.log(w), 0.0).sum(axis=1)
+
+        def coeffs(p: np.ndarray):
+            r = p @ w
+            if not r.min() >= tiny:
+                return table(p)
+            c = w @ np.log(r) - wlogw - np.log(p)
+            return c, _expected(p, c)
+
+        return coeffs
+
+    wa = w ** a
+    sign = 1.0 if a < 1.0 else -1.0
+
+    if kind in ("arimoto_a1", "arimoto_a2"):  # they coincide at the posterior
+        def coeffs(p: np.ndarray):
+            s = p ** a @ wa
+            if not s.min() >= tiny:
+                return table(p)
+            c = (sign * p ** (a - 1.0)) * (wa @ s ** ((1.0 - a) / a))
+            return c, _expected(p, c)
+
+        return coeffs
+
+    def coeffs(p: np.ndarray):
+        r, s = p @ w, p ** a @ wa
+        if not min(r.min(), s.min()) >= tiny:
+            return table(p)
+        r1a = r ** (1.0 - a)
+        sigma = s * r1a / r
+        if kind == "hayashi":
+            c = sign * (a * p ** (a - 1.0) * (wa @ r1a) - (a - 1.0) * (w @ sigma))
+        else:  # fb
+            g = 1.0 / (a - 1.0)
+            back = a * g * sigma ** ((2.0 - a) * g) * r1a
+            c = g * (w @ sigma ** g) - p ** (a - 1.0) * (wa @ back)
+        return c, _expected(p, c)
+
+    return coeffs
+
+
+def _expected(p: np.ndarray, c: np.ndarray) -> float:
+    """E = p . c over the inputs with mass (c may be +inf where p is 0)."""
+    e = float(p @ c)
+    if math.isfinite(e):
+        return e
+    has = p > 0.0
+    return float(p[has] @ c[has])

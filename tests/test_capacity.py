@@ -35,7 +35,7 @@ from genmi import (
     solve,
     uniform,
 )
-from genmi import capacity
+from genmi import capacity, variational
 from genmi.capacity import _batch_mi, _grid_chunks
 from genmi.io import parse_channel_text, random_channel_text
 
@@ -323,7 +323,11 @@ def _public_loop(cfg, w):
 
 
 class TestSolveMatchesPublicSteps:
-    """solve() runs the steps' array kernels; its results must be the same bits."""
+    """solve() against its loop written over the public steps.  A forced
+    numeric solve runs their loss-cell table, so its results are the same
+    bits.  An exact solve reads the coefficients from the matrix-vector
+    kernel instead: it must take the same number of iterations and stop
+    the same way, with every value within 1e-12."""
 
     SPECS = (shannon_spec(), arimoto_a1_spec(0.5), arimoto_a1_spec(2.0),
              arimoto_a2_spec(0.5), arimoto_a2_spec(2.0),
@@ -339,14 +343,24 @@ class TestSolveMatchesPublicSteps:
         assert got.argmax_p.probs.tobytes() == p.probs.tobytes()
         return got
 
+    def _assert_close(self, cfg, w):
+        got = solve(cfg, w)
+        trace, p, converged = _public_loop(cfg, w)
+        assert got.iterations == len(trace) - 1
+        assert got.converged == converged
+        assert np.max(np.abs(np.subtract(got.trace, trace))) <= 1e-12
+        assert abs(got.capacity - trace[-1]) <= 1e-12
+        assert np.max(np.abs(got.argmax_p.probs - p.probs)) <= 1e-12
+        return got
+
     def test_seeded_channels(self):
         rng = np.random.default_rng(59)
         for m, n in ((2, 2), (3, 3), (4, 2), (2, 5)):
             w = rand_channel(rng, m, n)
             p0 = make_pmf(rng.random(m) + 0.1)
             for spec in self.SPECS:
-                self._assert_same(SolverConfig(spec=spec, max_iter=3000), w)
-                self._assert_same(SolverConfig(spec=spec, max_iter=3000, p0=p0), w)
+                self._assert_close(SolverConfig(spec=spec, max_iter=3000), w)
+                self._assert_close(SolverConfig(spec=spec, max_iter=3000, p0=p0), w)
 
     def test_zero_mass_output_column(self):
         rows = np.random.default_rng(61).random((3, 4))
@@ -354,19 +368,19 @@ class TestSolveMatchesPublicSteps:
         rows[0, 2] = rows[2, 3] = 0.0  # zero cells in columns with mass, too
         w = make_channel(rows)
         for spec in self.SPECS:
-            self._assert_same(SolverConfig(spec=spec, max_iter=3000), w)
+            self._assert_close(SolverConfig(spec=spec, max_iter=3000), w)
 
     def test_boundary_optimum(self):
         # the third input is a mixture of the first two: the optimum gives it no mass
         w = make_channel([[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]])
         for spec in self.SPECS:
-            got = self._assert_same(SolverConfig(spec=spec, epsilon=1e-12, max_iter=5000), w)
+            got = self._assert_close(SolverConfig(spec=spec, epsilon=1e-12, max_iter=5000), w)
             assert got.argmax_p[2] < 1e-3
 
     def test_budget_exhausted(self):
         w = rand_channel(np.random.default_rng(67), 3, 3)
         for spec in self.SPECS:
-            got = self._assert_same(SolverConfig(spec=spec, epsilon=1e-15, max_iter=7), w)
+            got = self._assert_close(SolverConfig(spec=spec, epsilon=1e-15, max_iter=7), w)
             assert not got.converged
 
     def test_forced_numeric(self):
@@ -375,6 +389,85 @@ class TestSolveMatchesPublicSteps:
             cfg = SolverConfig(spec=spec, max_iter=6, numeric_iters=20,
                                force_numeric=spec.has_closed_p_step)
             self._assert_same(cfg, w)
+
+
+class TestExactSolveSkipsTheTable:
+    """An exact solve reads c from the matrix-vector kernel; only a forced
+    numeric solve (or the generic kind) builds the loss-cell table."""
+
+    SPECS = (shannon_spec(), arimoto_a1_spec(0.5), arimoto_a2_spec(2.0),
+             hayashi_spec(0.5), hayashi_spec(2.0), fb_spec(3.0))
+
+    @pytest.fixture(autouse=True)
+    def no_table(self, monkeypatch):
+        def table_built(*args):
+            raise AssertionError("loss-cell table built")
+        for module in (variational, capacity):
+            for name in ("_loss_cells", "_q_cols"):
+                monkeypatch.setattr(module, name, table_built, raising=False)
+
+    def test_exact_solves_build_no_table(self):
+        w = rand_channel(np.random.default_rng(97), 4, 3)
+        for spec in self.SPECS:
+            assert solve(SolverConfig(spec=spec, max_iter=500), w).iterations > 1
+
+    def test_forced_numeric_builds_it(self):
+        w = rand_channel(np.random.default_rng(97), 4, 3)
+        for spec in self.SPECS:
+            with pytest.raises(AssertionError, match="loss-cell table built"):
+                solve(SolverConfig(spec=spec, max_iter=5, force_numeric=True), w)
+
+
+def _shannon_radius(p, rows):
+    r = p @ rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(rows > 0, rows * np.log(rows / r), 0.0).sum(axis=1)
+    return d.max()
+
+
+def _arimoto_radius(p, rows, a):
+    q = ((p ** a) @ (rows ** a)) ** (1 / a)
+    q = q / q.sum()
+    return max(math.log(sum(w_y ** a * q_y ** (1 - a) for w_y, q_y in zip(row, q) if w_y > 0))
+               / (a - 1) for row in rows)
+
+
+class TestDualGap:
+    """SolveResult.gap is max_x D(W_x || Q) - capacity at argmax_p: Q = pW
+    for Shannon, Q proportional to (p^a W^a)^(1/a) for Arimoto."""
+
+    def test_shannon_named_channel_stops_short_of_its_certificate(self):
+        w, _ = parse_channel_text(random_channel_text(3, 3, 2))
+        got = solve(SolverConfig(spec=shannon_spec()), w)
+        want = _shannon_radius(got.argmax_p.probs, w.rows) - got.capacity
+        assert got.converged and got.gap == pytest.approx(want, abs=1e-13)
+        assert 0.9e-5 < got.gap < 1.1e-5
+
+    @pytest.mark.parametrize("make,a", [(shannon_spec, None), (arimoto_a1_spec, 0.5),
+                                        (arimoto_a2_spec, 0.5), (arimoto_a1_spec, 2.0),
+                                        (arimoto_a2_spec, 3.0)])
+    def test_matches_inline_formula(self, make, a):
+        rng = np.random.default_rng(101)
+        spec = make() if a is None else make(a)
+        for m, n in ((2, 2), (3, 4), (4, 3)):
+            w = rand_channel(rng, m, n)
+            for cfg in (SolverConfig(spec=spec, max_iter=3),
+                        SolverConfig(spec=spec, epsilon=1e-12, max_iter=3000),
+                        SolverConfig(spec=spec, max_iter=3, force_numeric=True)):
+                got = solve(cfg, w)
+                p = got.argmax_p.probs
+                radius = _shannon_radius(p, w.rows) if a is None else _arimoto_radius(p, w.rows, a)
+                assert got.gap == pytest.approx(radius - got.capacity, abs=1e-12)
+                assert got.gap >= -1e-12
+
+    def test_bsc_converges_to_its_certificate(self):
+        got = solve(SolverConfig(spec=shannon_spec(), epsilon=1e-14), bsc(0.1))
+        assert abs(got.gap) <= 1e-13
+
+    def test_no_bound_for_the_other_kinds(self):
+        w = rand_channel(np.random.default_rng(103), 3, 3)
+        for spec in (hayashi_spec(2.0), fb_spec(2.0), generic_spec(shannon_pair())):
+            assert solve(SolverConfig(spec=spec, max_iter=20), w).gap is None
 
 
 def _lex_grid(m, steps):
@@ -456,7 +549,8 @@ class TestBatchMi:
 
 FORBIDDEN = {"_eval", "_expectation", "_loss_cells", "_outer_value", "_input_coeffs", "_coeffs",
              "_q_cols", "_p_exact", "_p_kkt", "_bracketed_root", "_p_numeric", "q_step",
-             "eval_functional", "p_step_closed", "p_step_numeric", "variational"}
+             "eval_functional", "p_step_closed", "p_step_numeric", "variational",
+             "_coeff_kernel", "_table_coeffs", "_dual_radius"}
 
 
 def _names(code):

@@ -131,3 +131,20 @@ def test_bits_flag_scales_by_log2():
         grab(nats.stdout, "mi") / math.log(2), abs=1e-9
     )
     assert b"units: bits" in bits.stdout
+
+
+def test_one_input_channel_prints_zero_not_minus_zero(tmp_path):
+    # every value is a zero with a sign bit here: -(0 log 0 + ...) and k log 1
+    chan = tmp_path / "one.chan"
+    chan.write_text("x 1\ny 2\nrow 0.2 0.8\n")
+    for argv in (["mi", str(chan), "--measure", "shannon"],
+                 ["capacity", str(chan), "--measure", "shannon"],
+                 ["mi", str(chan), "--measure", "arimoto", "--alpha", "2"],
+                 ["mi", str(chan), "--measure", "hayashi", "--alpha", "2"]):
+        proc = run_cli(argv)
+        assert proc.returncode == 0, proc.stderr.decode()
+        result = proc.stdout.decode().split("result:\n")[1].split("version:")[0]
+        values = [line.split(": ")[1] for line in result.splitlines()]
+        assert "-0" not in values, (argv, result)
+        key = "capacity" if argv[0] == "capacity" else "mi"
+        assert f"  {key}: 0\n" in result, (argv, result)

@@ -38,11 +38,14 @@ from genmi import (
 from genmi.scoring import loss_from_core
 from genmi.variational import (
     _QUIET,
+    _coeff_kernel,
     _eval,
     _input_coeffs,
     _loss_cells,
+    _p_exact,
     _p_numeric,
     _prior_objective,
+    _table_coeffs,
 )
 
 from conftest import rand_channel, rand_pmf
@@ -166,6 +169,68 @@ class TestSubnormalPrior:
         value = eval_functional(spec, p, w, q_step(spec, p, w))
         assert math.isfinite(value)
         assert value == pytest.approx(mutual_information(spec.pair, p, w).mi, abs=1e-12)
+
+
+KERNEL_SPECS = [shannon_spec()] + [
+    make(a) for a in (0.5, 1.5, 2.0, 3.0) for make in (arimoto_a1_spec, arimoto_a2_spec, hayashi_spec)
+] + [fb_spec(a) for a in (1.5, 2.0, 3.0)]
+
+
+def _zero_column_channel():
+    rows = np.random.default_rng(61).random((3, 4))
+    rows[:, 1] = 0.0  # no input reaches output 1
+    rows[0, 2] = rows[2, 3] = 0.0
+    return make_channel(rows)
+
+
+def _kernel_cases():
+    """(channel, prior) pairs on which every output the channel reaches
+    gets mass: zero cells, an all-zero column, priors with exact zeros and
+    a subnormal prior whose joint underflows."""
+    rng = np.random.default_rng(89)
+    cases = []
+    for m, n in ((2, 3), (3, 3), (4, 5), (6, 4)):
+        rows = rng.random((m, n))
+        rows[rng.random((m, n)) < 0.25] = 0.0
+        rows[:, 0] += 0.1  # every input keeps an output every input reaches
+        w = make_channel(rows)
+        cases.append((w, rng.dirichlet(np.ones(m))))
+        p = rng.dirichlet(np.ones(m))
+        p[-1] = 0.0
+        cases.append((w, p / p.sum()))
+    w = _zero_column_channel()
+    cases += [(w, np.full(3, 1.0 / 3.0)), (w, np.array([0.0, 0.5, 0.5])),
+              (w, np.array([0.6, 0.4, 0.0]))]
+    w = make_channel([[0.2, 0.35, 0.45], [0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
+    cases.append((w, np.array([5e-324, 0.4, 0.6])))
+    return cases
+
+
+class TestCoeffKernel:
+    """The matrix-vector kernel gives the loss-cell table's prior step and E."""
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: f"{s.kind}-{s.alpha}")
+    def test_matches_table(self, spec, monkeypatch):
+        for w, p in _kernel_cases():
+            with np.errstate(**_QUIET):
+                c_table, e_table = _table_coeffs(spec, w.rows)(p)
+                want = _p_exact(spec, c_table)
+                kernel = _coeff_kernel(spec, w.rows)
+                with monkeypatch.context() as m:  # the kernel must not read the table here
+                    m.setattr(variational, "_loss_cells", None)
+                    c, e = kernel(p)
+                got = _p_exact(spec, c)
+            assert np.max(np.abs(got - want)) <= 1e-15, (w.rows, p)
+            assert abs(e - e_table) <= 1e-13 * abs(e_table), (w.rows, p)
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: f"{s.kind}-{s.alpha}")
+    def test_output_without_mass_reads_the_table(self, spec):
+        # only input 2 has mass, and it does not reach output 3
+        w, p = _zero_column_channel(), np.array([0.0, 0.0, 1.0])
+        with np.errstate(**_QUIET):
+            c, e = _coeff_kernel(spec, w.rows)(p)
+            c_table, e_table = _table_coeffs(spec, w.rows)(p)
+        assert c.tobytes() == c_table.tobytes() and e == e_table
 
 
 class TestVariationalIdentity:
