@@ -46,8 +46,8 @@ from .variational import (
     _check_count,
     _check_numeric_settings,
     _coeff_kernel,
+    _exact_step,
     _outer_value,
-    _p_exact,
     _p_numeric,
     _table_coeffs,
 )
@@ -120,12 +120,13 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
         # c and E at the response step of p: matrix-vector products for an
         # exact step, the loss-cell table otherwise
         coeffs = (_coeff_kernel if exact else _table_coeffs)(spec, wm)
+        p_exact = _exact_step(spec) if exact else None
         p = p_x.probs
         c, e = coeffs(p)
         trace = [_outer_value(spec, p, e)]
         for _ in range(cfg.max_iter):
             if exact:
-                p = _p_exact(spec, c)
+                p = p_exact(c)
             else:
                 p = _p_numeric(spec, c, p, cfg.numeric_iters, cfg.numeric_step)
             c, e = coeffs(p)

@@ -6,17 +6,18 @@ entropy is eta(F(p)); the conditional entropy averages F over the
 posteriors *inside* eta; mutual information is their difference.  All
 values are in nats.
 
-Four concrete measures are provided:
+Besides shannon, eta(t) = t with F(p) = -sum p log p, three order-a
+measures are provided, all of one power family:
 
-    shannon        eta(t) = t,                F(p) = -sum p log p
-    arimoto(a)     eta(t) = a/(1-a) log(+-t), F(p) = +-||p||_a
-    hayashi(a)     eta(t) = 1/(1-a) log(+-t), F(p) = +-||p||_a^a
-    fehr_berens(a) eta(t) = -log(-t),         F(p) = -||p||_a^(a/(a-1)),  a > 1
+    F(p) = sign (sum_x p(x)^a)^beta,    eta(t) = kappa log(sign t),
 
-For orders a > 1 the core is stored negated so that it stays concave and
-eta reads log(-t); the outer maps undo the sign, so all three order-a
-measures report the same unconditional value (the order-a entropy) while
-their conditional versions differ.
+with sign = +1 below order 1 and -1 above, so that the core stays
+concave.  A measure is one row (beta, b, kappa) of `_POWER_ROWS`, with
+b = a beta, so that grad F(p) = sign b (sum_x p(x)^a)^(beta-1) p^(a-1).
+Arimoto's core is the a-norm, Hayashi's the power sum itself, and
+Fehr-Berens is defined above order 1 only.  kappa beta = 1/(1-a) in
+every row, so all three report the same unconditional value (the
+order-a entropy) while their conditional versions differ.
 
 The built-in cores reduce over axis 0, so one call evaluates a pmf or a
 stack of pmf columns of any trailing shape, and their outer maps act
@@ -31,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadAlpha, DomainError, UnsupportedSpec
-from .simplex import Channel, Pmf, posterior
+from .simplex import Channel, Pmf, _checked_order, posterior
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,7 @@ class MiReport:
 
 
 def _shannon_core(p: np.ndarray):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return -np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=0)
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=0)
 
 
 def shannon_pair() -> EntropyPair:
@@ -93,72 +93,53 @@ def shannon_pair() -> EntropyPair:
     )
 
 
-def arimoto_pair(alpha: float) -> EntropyPair:
-    """Core +-||p||_a with outer map (a/(1-a)) log(+-t)."""
-    _check_order(alpha)
-    a = float(alpha)
+#: The row (beta, b, kappa) of each order-a measure, as a function of the
+#: order (see the module docstring); b is written out, as a * beta rounds.
+_POWER_ROWS = {
+    "arimoto": lambda a: (1.0 / a, 1.0, a / (1.0 - a)),
+    "hayashi": lambda a: (1.0, a, 1.0 / (1.0 - a)),
+    "fehr-berens": lambda a: (1.0 / (a - 1.0), a / (a - 1.0), -1.0),
+}
+
+
+def _power_pair(measure: str, alpha: float) -> EntropyPair:
+    """The pair of an order-a power measure, from its row in `_POWER_ROWS`."""
+    a = _checked_order(alpha)
+    beta, b, kappa = _POWER_ROWS[measure](a)
     sign = 1.0 if a < 1.0 else -1.0
-    k = a / (1.0 - a)
 
     def F(p: np.ndarray):
-        return sign * (p ** a).sum(axis=0) ** (1.0 / a)
+        return sign * (p ** a).sum(axis=0) ** beta
 
     def grad_f(p: np.ndarray) -> np.ndarray:
-        norm = (p ** a).sum() ** (1.0 / a)
-        return sign * norm ** (1.0 - a) * p ** (a - 1.0)
+        return sign * b * (p ** a).sum() ** (beta - 1.0) * p ** (a - 1.0)
 
     return EntropyPair(
-        name=f"arimoto({a:g})",
+        name=f"{measure}({a:g})",
         F=F,
         grad_f=grad_f,
-        eta=lambda t: k * np.log(sign * t),
-        eta_slope=lambda t: k / t,
+        eta=lambda t: kappa * np.log(sign * t),
+        eta_slope=lambda t: kappa / t,
         eta_domain=(0.0, np.inf) if a < 1.0 else (-np.inf, 0.0),
         alpha=a,
     )
+
+
+def arimoto_pair(alpha: float) -> EntropyPair:
+    """Core +-||p||_a with outer map (a/(1-a)) log(+-t)."""
+    return _power_pair("arimoto", alpha)
 
 
 def hayashi_pair(alpha: float) -> EntropyPair:
     """Core +-||p||_a^a with outer map (1/(1-a)) log(+-t)."""
-    _check_order(alpha)
-    a = float(alpha)
-    sign = 1.0 if a < 1.0 else -1.0
-    k = 1.0 / (1.0 - a)
-
-    return EntropyPair(
-        name=f"hayashi({a:g})",
-        F=lambda p: sign * (p ** a).sum(axis=0),
-        grad_f=lambda p: sign * a * p ** (a - 1.0),
-        eta=lambda t: k * np.log(sign * t),
-        eta_slope=lambda t: k / t,
-        eta_domain=(0.0, np.inf) if a < 1.0 else (-np.inf, 0.0),
-        alpha=a,
-    )
+    return _power_pair("hayashi", alpha)
 
 
 def fehr_berens_pair(alpha: float) -> EntropyPair:
     """Core -||p||_a^(a/(a-1)) with outer map -log(-t); requires a > 1."""
-    _check_order(alpha)
-    if alpha <= 1.0:
+    if _checked_order(alpha) < 1.0:
         raise BadAlpha(f"fehr-berens requires order > 1, got {alpha:g}")
-    a = float(alpha)
-
-    def F(p: np.ndarray):
-        return -(p ** a).sum(axis=0) ** (1.0 / (a - 1.0))
-
-    def grad_f(p: np.ndarray) -> np.ndarray:
-        s = (p ** a).sum()
-        return -(a / (a - 1.0)) * s ** ((2.0 - a) / (a - 1.0)) * p ** (a - 1.0)
-
-    return EntropyPair(
-        name=f"fehr-berens({a:g})",
-        F=F,
-        grad_f=grad_f,
-        eta=lambda t: -np.log(-t),
-        eta_slope=lambda t: -1.0 / t,
-        eta_domain=(-np.inf, 0.0),
-        alpha=a,
-    )
+    return _power_pair("fehr-berens", alpha)
 
 
 def entropy(pair: EntropyPair, p: Pmf) -> float:
@@ -223,10 +204,3 @@ def hayashi_mi(alpha: float, p_x: Pmf, w: Channel) -> float:
 
 def fehr_berens_mi(alpha: float, p_x: Pmf, w: Channel) -> float:
     return mutual_information(fehr_berens_pair(alpha), p_x, w).mi
-
-
-def _check_order(alpha: float) -> None:
-    if not np.isfinite(alpha) or alpha <= 0.0:
-        raise BadAlpha(f"order must be a finite positive real, got {alpha!r}")
-    if alpha == 1.0:
-        raise BadAlpha("order 1 is not accepted; use the shannon measure explicitly")

@@ -23,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadAlpha, DimensionMismatch, DomainError, NonFinite
-from .simplex import Pmf, alpha_tilt
+from .errors import DimensionMismatch, DomainError, NonFinite
+from .simplex import Pmf, _checked_order, alpha_tilt
 
 #: Interior shift applied to q before evaluating core gradients.
 GRAD_MIX = 1e-12
@@ -143,7 +143,7 @@ def log_loss_rule() -> ScoringRule:
 
 def pseudo_spherical_rule(alpha: float) -> ScoringRule:
     """Gain (1/(a-1)) (q(x)/||q||_a)^(a-1), scaled to cover a in (0,1) too."""
-    a = _checked_alpha(alpha)
+    a = _checked_order(alpha)
 
     def score(x: int, q: np.ndarray) -> float:
         norm = float(np.sum(q ** a) ** (1.0 / a))
@@ -160,7 +160,7 @@ def pseudo_spherical_rule(alpha: float) -> ScoringRule:
 
 def power_rule(alpha: float) -> ScoringRule:
     """Gain (a/(a-1)) q(x)^(a-1) - ||q||_a^a (power / Tsallis score)."""
-    a = _checked_alpha(alpha)
+    a = _checked_order(alpha)
 
     def score(x: int, q: np.ndarray) -> float:
         norm_a = float(np.sum(q ** a))
@@ -176,7 +176,7 @@ def power_rule(alpha: float) -> ScoringRule:
 
 def alpha_loss_rule(alpha: float) -> ScoringRule:
     """Loss (a/(a-1)) (1 - q(x)^((a-1)/a)); optimal response is the tilt, not the belief."""
-    a = _checked_alpha(alpha)
+    a = _checked_order(alpha)
 
     def score(x: int, q: np.ndarray) -> float:
         if q[x] == 0.0 and a < 1.0:
@@ -192,7 +192,7 @@ def alpha_loss_rule(alpha: float) -> ScoringRule:
 
 def alpha_score_rule(alpha: float) -> ScoringRule:
     """Gain (a/(a-1)) q(x)^((a-1)/a); optimal response is the tilt, not the belief."""
-    a = _checked_alpha(alpha)
+    a = _checked_order(alpha)
 
     def score(x: int, q: np.ndarray) -> float:
         if q[x] == 0.0 and a < 1.0:
@@ -204,9 +204,3 @@ def alpha_score_rule(alpha: float) -> ScoringRule:
         lambda p: alpha_tilt(Pmf(p), a).probs,
         proper=False, c_of_g=a / (a - 1.0), alpha=a,
     )
-
-
-def _checked_alpha(alpha: float) -> float:
-    if not np.isfinite(alpha) or alpha <= 0.0 or alpha == 1.0:
-        raise BadAlpha(f"order must be finite, positive and != 1, got {alpha!r}")
-    return float(alpha)

@@ -190,3 +190,12 @@ def alpha_tilt(p: Pmf, alpha: float) -> Pmf:
 def _check_alpha(alpha: float) -> None:
     if not np.isfinite(alpha) or alpha <= 0.0:
         raise BadAlpha(f"order must be a finite positive real, got {alpha!r}")
+
+
+def _checked_order(alpha: float) -> float:
+    """The order of an order-a measure or rule as a float: finite, positive
+    and not 1 (order 1 is the Shannon measure and the log rules)."""
+    _check_alpha(alpha)
+    if alpha == 1.0:
+        raise BadAlpha("order 1 is not accepted; use the shannon measure or a log rule")
+    return float(alpha)

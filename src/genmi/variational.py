@@ -6,13 +6,18 @@ For a measure (eta, F) with proper core loss l_F, the functional
 
 satisfies max_q G(p, q) = I(p, W), with the maximum at q = posterior.
 Besides the generic form, closed algebraic forms are provided for the
-Shannon measure, two equivalent Arimoto forms (the second tilts the
+Shannon measure and for the order-a power family of `entropy`, whose
+core is F(p) = sign (sum_x p(x)^a)^beta with sign = +1 below order 1
+and -1 above: two equivalent Arimoto forms (the second tilts the
 response columns), the Hayashi measure, and the Fehr-Berens measure.
 The first Arimoto form is the one historical exception whose inner
 maximizer is the tilted posterior rather than the posterior itself.
 
 Each kind's loss is written once, in `_loss_cells`, as a table of
-l(x, q(.|y)) over the cells of q, signed like its pair's core.
+l(x, q(.|y)) over the cells of q, signed like its pair's core.  For the
+family it is one formula in the measure's row (beta, b = a beta), read
+from the spec: the proper loss sign s^(beta-1) ((1-b) s + b q^(a-1)),
+with s the power sum of the column.
 Evaluation sums joint * loss over the cells with joint mass; the prior
 steps sum w * loss over each input's outputs into the coefficients c,
 so that the expectation term is E = p . c.  The rest comes from the
@@ -25,10 +30,12 @@ steps use it.
 
 Both maximization steps are exact for every built-in kind: the response
 step is the (tilted) posterior, and the prior step is a function of c --
-a formula for Shannon and Arimoto (Blahut 1972; Arimoto 1972), and for
-Hayashi and Fehr-Berens, whose G(., q) is quasi-concave, the KKT point
-found by a scalar root find.  The generic kind, and any solve that asks
-for it, takes safeguarded exponentiated-gradient steps instead.
+a formula for Shannon (Blahut 1972), and for the family, whose G(., q)
+is quasi-concave, the KKT point p(x) proportional to
+(sign c_x + (b-1) t)_+^(1/(a-1)): a scalar root find for t, or none for
+Arimoto, where b = 1 (Arimoto 1972).  The generic kind, and any solve
+that asks for it, takes safeguarded exponentiated-gradient steps
+instead.
 
 Conventions: a response that puts zero mass where the joint has positive
 mass drives the functional to -inf (the log-loss convention): the loss is
@@ -45,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import (
+    _POWER_ROWS,
     EntropyPair,
     arimoto_pair,
     fehr_berens_pair,
@@ -184,7 +192,9 @@ def _loss_cells(spec: FunctionalSpec, q: np.ndarray, used: np.ndarray) -> np.nda
     """The loss l(x, q(.|y)) at every cell (x, y) of the response family q,
     signed like the pair's core (negated above order 1 for the order-a
     measures): the pair's l_F, or for the first Arimoto form a loss whose
-    expectation falls in eta's domain.
+    expectation falls in eta's domain.  For the order-a family, l_F is
+    F(q) + grad F(q) . (1_x - q) = sign s^(beta-1) ((1-b) s + b q^(a-1)),
+    s the column's power sum.
 
     Log-type losses are +inf where q is 0.  `used` marks the columns the
     caller reads; the generic kind builds only those (and leaves 0 in the
@@ -200,18 +210,20 @@ def _loss_cells(spec: FunctionalSpec, q: np.ndarray, used: np.ndarray) -> np.nda
         for y in np.flatnonzero(used):
             cells[:, y] = loss_from_core(pair.F, pair.grad_f, q[:, y])
         return cells
-    if kind == "fb":
-        col_sum = (q ** a).sum(axis=0)
-        head = (1.0 / (a - 1.0)) * col_sum ** (1.0 / (a - 1.0))
-        scale = (a / (a - 1.0)) * col_sum ** ((2.0 - a) / (a - 1.0))
-        return head - scale * q ** (a - 1.0)
+    sign, beta, b = _power_row(spec)
     if kind == "arimoto_a1":
-        cells = q ** ((a - 1.0) / a)
-    elif kind == "arimoto_a2":
-        cells = (q / (q ** a).sum(axis=0) ** (1.0 / a)) ** (a - 1.0)
-    else:  # hayashi
-        cells = a * q ** (a - 1.0) - (a - 1.0) * (q ** a).sum(axis=0)
-    return cells if a < 1.0 else -cells  # the pair's sign
+        return sign * q ** ((a - 1.0) / a)
+    s = (q ** a).sum(axis=0)  # the power sum of each column
+    return sign * s ** (beta - 1.0) * ((1.0 - b) * s + b * q ** (a - 1.0))
+
+
+def _power_row(spec: FunctionalSpec) -> tuple[float, float, float]:
+    """(sign, beta, b) of a built-in order-a kind: beta and b from its
+    measure's row in `_POWER_ROWS`, and the core's sign, +1 below order 1
+    and -1 above."""
+    a = spec.alpha
+    beta, b, _ = _POWER_ROWS[_CLOSED_FORM_KINDS[spec.kind]](a)
+    return (1.0 if a < 1.0 else -1.0), beta, b
 
 
 def _outer_value(spec: FunctionalSpec, p: np.ndarray, e: float) -> float:
@@ -257,13 +269,11 @@ def _q_cols(kind: str, a: float | None, p: np.ndarray, joint: np.ndarray) -> np.
 def p_step_closed(spec: FunctionalSpec, w: Channel, q: QFamily) -> Pmf:
     """Exact outer maximizer over priors for fixed q, for every built-in kind.
 
-    With c the per-input coefficients of the expectation term, E = p . c:
-
-    shannon:  p(x) proportional to exp(-c_x)  (= prod_y q(x|y)^w(y|x))
-    arimoto:  p(x) proportional to (+-c_x)^(1/(a-1)), the sign undoing
-              the pair's (c_x = +-sum_y w(y|x) q(x|y)^((a-1)/a), with q
-              replaced by its column tilts for the second form)
-    hayashi, fehr-berens:  the KKT point of `_p_kkt`, by a scalar root find.
+    With c the per-input coefficients of the expectation term, E = p . c,
+    the prior is proportional to exp(-c_x) for Shannon (= prod_y
+    q(x|y)^w(y|x)), and for the order-a family to the KKT point
+    (sign c_x + (b-1) t)_+^(1/(a-1)) of `_p_kkt`; t drops out for
+    Arimoto, where b = 1.
 
     UnsupportedSpec for the generic kind, which has no such step.
     """
@@ -273,68 +283,76 @@ def p_step_closed(spec: FunctionalSpec, w: Channel, q: QFamily) -> Pmf:
         raise UnsupportedSpec(f"no closed-form prior update for {spec.kind!r}")
     c = _input_coeffs(spec, w.rows, q.cols)
     with np.errstate(**_QUIET):
-        return Pmf(_p_exact(spec, c))
+        return Pmf(_exact_step(spec)(c))
 
 
-def _p_exact(spec: FunctionalSpec, c: np.ndarray) -> np.ndarray:
-    """The prior of `p_step_closed` from the coefficients c (+inf where an
-    input's loss is).  After the NonFinite guard the result is exp(<= 0)
-    over a sum >= exp(0) = 1, or `_p_kkt`'s weights over their sum, so it
-    passes Pmf's checks.  The caller holds `np.errstate(**_QUIET)`."""
+def _exact_step(spec: FunctionalSpec):
+    """`step(c)` -> the prior of `p_step_closed` from the coefficients c
+    (+inf where an input's loss is), with the kind's row read once.
+
+    Shannon's prior is proportional to exp(-c).  For the order-a family it
+    is `_p_kkt`'s point from h = sign c and k = b - 1; Arimoto is the case
+    b = 1, where k = 0 and the point is (sign c)^(1/(a-1)) in closed form.
+    After the NonFinite guard the result is exp(<= 0) over a sum >= exp(0)
+    = 1, or `_p_kkt`'s weights over their sum, so it passes Pmf's checks.
+    The caller holds `np.errstate(**_QUIET)`.
+    """
     kind, a = spec.kind, spec.alpha
-    if kind == "shannon":
-        log_p = -c
-    elif kind in ("hayashi", "fb"):
-        return _p_kkt(kind, a, c)
-    else:
-        log_p = np.log(c if a < 1.0 else -c) / (a - 1.0)
+    if kind != "shannon":
+        sign, _, b = _power_row(spec)
+        if b != 1.0:
+            return lambda c: _p_kkt(kind, a, c if sign > 0.0 else -c, b - 1.0)
 
-    top = log_p.max()
-    if not math.isfinite(top):
-        _step_failed(kind, a, c, "prior update collapsed, no input has a finite weight,")
-    p = np.exp(log_p - top)
-    return p / p.sum()
+    def step(c: np.ndarray) -> np.ndarray:
+        log_p = -c if kind == "shannon" else np.log(c if sign > 0.0 else -c) / (a - 1.0)
+        top = log_p.max()
+        if not math.isfinite(top):
+            _step_failed(kind, a, c, "prior update collapsed, no input has a finite weight,")
+        p = np.exp(log_p - top)
+        return p / p.sum()
+
+    return step
 
 
-def _p_kkt(kind: str, a: float, c: np.ndarray) -> np.ndarray:
-    """The maximizer of G(., q) for Hayashi and Fehr-Berens.
+def _p_kkt(kind: str, a: float, h: np.ndarray, k: float) -> np.ndarray:
+    """The maximizer of G(., q) for an order-a measure with b != 1
+    (Hayashi, Fehr-Berens), from h = sign c and k = b - 1.
 
-    With s = sum_x p(x)^a, G is a monotone map of +-E/s (Hayashi, the sign
-    undoing the pair's) or of -E/s^(1/a) (Fehr-Berens): a ratio of a linear
-    term to a convex one, or of a concave term to a linear one.  So G(., q)
-    is quasi-concave, and a KKT point is its maximum (Arrow & Enthoven
+    With t = p . h (= sign E), G = kappa b log(||p||_a / t^(1/b)).  Below
+    order 1, ||p||_a is concave and t^(1/b) convex (b < 1); above, the
+    reverse (b > 1), and kappa b < 0.  So G(., q) is a monotone map of a
+    ratio of a positive concave term to a positive convex one: it is
+    quasi-concave, and a KKT point is its maximum (Arrow & Enthoven
     1961).  Stationarity gives
 
-        p(x) proportional to (h_x + k t)_+^(1/(a-1)),   t = p . h,
+        p(x) proportional to (h_x + k t)_+^(1/(a-1)),   t = p . h.
 
-    with h = +-c, k = a - 1 and t = +-E for Hayashi, and h = (1 - a) c,
-    k = 1/(a - 1) and t = (1 - a) E for Fehr-Berens.  The scalar t is the
-    root of f(t) = p(t) . h - t, which is positive at 0 and not positive
-    at the other end of the bracket: max h where k > 0 (a > 1), and
-    min h / (-k) where k < 0 (Hayashi with a < 1, where every input keeps
+    The scalar t is the root of f(t) = p(t) . h - t, which is positive at
+    0 and not positive at the other end of the bracket: max h where k > 0
+    (a > 1), and min h / (-k) where k < 0 (a < 1, where every input keeps
     mass).  f falls with slope <= -1 (the slope of p(t) . h is k/(a-1) > 0
     times the covariance under p(t) of h and 1/(h + k t), which is <= 0),
-    so the root is unique.  Hayashi inputs with a < 1 and infinite c get
-    no mass; any other non-finite c, or an empty bracket, raises
-    NonFinite.
+    so the root is unique.  Below order 1, inputs with infinite h get no
+    mass; any other non-finite h, or an empty bracket, raises NonFinite
+    naming c = sign h.
     """
-    inf = c == math.inf
-    if kind == "hayashi" and a < 1.0 and inf.any() and not inf.all():
-        p = np.zeros_like(c)
-        p[~inf] = _p_kkt(kind, a, c[~inf])
+    inf = h == math.inf
+    if a < 1.0 and inf.any() and not inf.all():
+        p = np.zeros_like(h)
+        p[~inf] = _p_kkt(kind, a, h[~inf], k)
         return p
-    if not np.all(np.isfinite(c)):
-        _step_failed(kind, a, c, "no root of the KKT equation")
-    if kind == "hayashi":
-        h, k = (c if a < 1.0 else -c), a - 1.0
-    else:
-        h, k = (1.0 - a) * c, 1.0 / (a - 1.0)
+
+    def fail():
+        _step_failed(kind, a, h if a < 1.0 else -h, "no root of the KKT equation")
+
+    if not np.all(np.isfinite(h)):
+        fail()
     g = 1.0 / (a - 1.0)
     # the largest base (k > 0) or the smallest (k < 0) is h_ref + k t
     h_ref = float(h.max()) if k > 0.0 else float(h.min())
     hi = h_ref / abs(k) if k < 0.0 else h_ref
     if not 0.0 < hi < math.inf:
-        _step_failed(kind, a, c, "no root of the KKT equation")
+        fail()
 
     def f(t: float):
         """(f(t), u, sum u) with p(t) = u / sum u, u scaled to at most 1."""
@@ -348,7 +366,7 @@ def _p_kkt(kind: str, a: float, c: np.ndarray) -> np.ndarray:
 
     lo, top = f(0.0), f(hi)
     if not lo[0] > 0.0:
-        _step_failed(kind, a, c, "no root of the KKT equation")
+        fail()
     if top[0] >= 0.0:  # f(hi) <= 0 holds exactly; this is the root, rounded
         return top[1] / top[2]
     # as f falls with slope <= -1, |f| <= tol puts t within tol of the root
@@ -554,15 +572,14 @@ def _coeff_kernel(spec: FunctionalSpec, w: np.ndarray):
     At the (tilted) posterior every loss cell factors through p, r, s and
     the fixed matrices W and W^a, so c takes no table: r and s, then one
     product back through W or W^a per term (Blahut 1972; Arimoto 1972).
-    With the pair's sign (+ below order 1, - above):
+    For Shannon, c = -log p - sum_y w log w + W log r.  For the order-a
+    family, with the measure's row (beta, b) and the core's sign,
 
-        shannon:     c = -log p - sum_y w log w + W log r
-        arimoto:     c = +-p^(a-1) * W^a s^((1-a)/a)        (both forms)
-        hayashi:     c = +-(a p^(a-1) * W^a r^(1-a) - (a-1) W sigma)
-        fehr-berens: c = W sigma^(1/(a-1)) / (a-1)
-                         - p^(a-1) * W^a (a/(a-1) sigma^((2-a)/(a-1)) r^(1-a))
+        c = sign ((1-b) W sigma^beta + b p^(a-1) * W^a (r^(1-a) sigma^(beta-1))),
 
     with sigma = s r^(-a), the order-a power sum of each posterior column.
+    Arimoto (both forms) is b = 1, where r cancels:
+    c = sign p^(a-1) * W^a s^((1-a)/a).
     An input with p(x) = 0 gets the table's coefficient: +inf for Shannon
     and below order 1, the terms without p^(a-1) above it.  E = p . c over
     the inputs with mass.  All-zero columns of W enter neither.  Where an
@@ -589,9 +606,9 @@ def _coeff_kernel(spec: FunctionalSpec, w: np.ndarray):
         return coeffs
 
     wa = w ** a
-    sign = 1.0 if a < 1.0 else -1.0
+    sign, beta, b = _power_row(spec)
 
-    if kind in ("arimoto_a1", "arimoto_a2"):  # they coincide at the posterior
+    if b == 1.0:  # Arimoto, both forms: r cancels
         def coeffs(p: np.ndarray):
             s = p ** a @ wa
             if not s.min() >= tiny:
@@ -607,12 +624,8 @@ def _coeff_kernel(spec: FunctionalSpec, w: np.ndarray):
             return table(p)
         r1a = r ** (1.0 - a)
         sigma = s * r1a / r
-        if kind == "hayashi":
-            c = sign * (a * p ** (a - 1.0) * (wa @ r1a) - (a - 1.0) * (w @ sigma))
-        else:  # fb
-            g = 1.0 / (a - 1.0)
-            back = a * g * sigma ** ((2.0 - a) * g) * r1a
-            c = g * (w @ sigma ** g) - p ** (a - 1.0) * (wa @ back)
+        sb1 = sigma ** (beta - 1.0)
+        c = sign * ((1.0 - b) * (w @ (sb1 * sigma)) + b * p ** (a - 1.0) * (wa @ (r1a * sb1)))
         return c, _expected(p, c)
 
     return coeffs

@@ -204,9 +204,9 @@ class TestTraceAndConfig:
         w = make_channel([[0.9, 0.1], [0.3, 0.7]])
         first = solve(SolverConfig(spec=shannon_spec(), max_iter=1), w).capacity
         # a prior step that jumps to a vertex on its second call: I = 0 there
-        calls, exact = [], capacity._p_exact
-        monkeypatch.setattr(capacity, "_p_exact", lambda spec, c: calls.append(1) or (
-            exact(spec, c) if len(calls) == 1 else np.array([1.0, 0.0])))
+        calls, exact = [], capacity._exact_step(shannon_spec())
+        monkeypatch.setattr(capacity, "_exact_step", lambda spec: lambda c: calls.append(1) or (
+            exact(c) if len(calls) == 1 else np.array([1.0, 0.0])))
         with pytest.raises(Diverged, match=rf"^iteration 2: objective decreased from "
                                            rf"{first:.12g} to -?0$"):
             solve(SolverConfig(spec=shannon_spec()), w)
@@ -548,9 +548,9 @@ class TestBatchMi:
 
 
 FORBIDDEN = {"_eval", "_expectation", "_loss_cells", "_outer_value", "_input_coeffs", "_coeffs",
-             "_q_cols", "_p_exact", "_p_kkt", "_bracketed_root", "_p_numeric", "q_step",
+             "_q_cols", "_exact_step", "_p_kkt", "_bracketed_root", "_p_numeric", "q_step",
              "eval_functional", "p_step_closed", "p_step_numeric", "variational",
-             "_coeff_kernel", "_table_coeffs", "_dual_radius"}
+             "_coeff_kernel", "_table_coeffs", "_dual_radius", "_power_row"}
 
 
 def _names(code):

@@ -268,6 +268,26 @@ class TestConstructors:
         with pytest.raises(BadAlpha):
             fehr_berens_pair(0.5)
 
+    @pytest.mark.parametrize("a", (0.3, 0.5, 1.5, 2.0, 3.0, 5.0))
+    def test_core_and_eta_match_written_forms_bit_for_bit(self, a):
+        # the capacity oracle reads F and eta, and its binary-input best_p
+        # moves with the last ulp of F: the family must not round otherwise
+        rng = np.random.default_rng(71)
+        cols = rng.dirichlet(np.full(5, 0.7), size=40).T
+        cols[:, :8] = 0.0
+        cols[0, :8], cols[1, :4] = 1.0, 5e-324
+        sign, s = (1.0 if a < 1.0 else -1.0), (cols ** a).sum(axis=0)
+        written = {
+            arimoto_pair: (sign * s ** (1.0 / a), lambda t: a / (1.0 - a) * np.log(sign * t)),
+            hayashi_pair: (sign * s, lambda t: 1.0 / (1.0 - a) * np.log(sign * t)),
+        }
+        if a > 1.0:
+            written[fehr_berens_pair] = (-s ** (1.0 / (a - 1.0)), lambda t: -np.log(-t))
+        for ctor, (core, eta) in written.items():
+            pair = ctor(a)
+            assert np.array_equal(pair.F(cols), core), pair.name
+            assert np.array_equal(pair.eta(core), eta(core)), pair.name
+
     def test_gradients_match_finite_differences(self):
         # tolerance is relative to the gradient scale; float64 central
         # differences carry ~1e-9 absolute noise, so components near zero

@@ -40,9 +40,9 @@ from genmi.variational import (
     _QUIET,
     _coeff_kernel,
     _eval,
+    _exact_step,
     _input_coeffs,
     _loss_cells,
-    _p_exact,
     _p_numeric,
     _prior_objective,
     _table_coeffs,
@@ -172,8 +172,9 @@ class TestSubnormalPrior:
 
 
 KERNEL_SPECS = [shannon_spec()] + [
-    make(a) for a in (0.5, 1.5, 2.0, 3.0) for make in (arimoto_a1_spec, arimoto_a2_spec, hayashi_spec)
-] + [fb_spec(a) for a in (1.5, 2.0, 3.0)]
+    make(a) for a in (0.3, 0.5, 1.5, 2.0, 3.0, 5.0)
+    for make in (arimoto_a1_spec, arimoto_a2_spec, hayashi_spec)
+] + [fb_spec(a) for a in (1.5, 2.0, 3.0, 5.0)]
 
 
 def _zero_column_channel():
@@ -214,12 +215,12 @@ class TestCoeffKernel:
         for w, p in _kernel_cases():
             with np.errstate(**_QUIET):
                 c_table, e_table = _table_coeffs(spec, w.rows)(p)
-                want = _p_exact(spec, c_table)
+                want = _exact_step(spec)(c_table)
                 kernel = _coeff_kernel(spec, w.rows)
                 with monkeypatch.context() as m:  # the kernel must not read the table here
                     m.setattr(variational, "_loss_cells", None)
                     c, e = kernel(p)
-                got = _p_exact(spec, c)
+                got = _exact_step(spec)(c)
             assert np.max(np.abs(got - want)) <= 1e-15, (w.rows, p)
             assert abs(e - e_table) <= 1e-13 * abs(e_table), (w.rows, p)
 
