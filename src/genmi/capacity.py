@@ -158,15 +158,17 @@ def _dual_radius(spec: FunctionalSpec, w: np.ndarray, p: np.ndarray) -> float | 
     bound is known: max_x D(W_x || pW) for Shannon (Arimoto 1972), and
     for Arimoto max_x D_a(W_x || Q) with Q proportional to (p^a W^a)^(1/a)
     (Csiszar 1995), the order-a Renyi divergence
-    D_a(P || Q) = log(sum_y P^a Q^(1-a)) / (a - 1).  None for the other
-    kinds.  +inf if some input reaches an output Q gives no mass.  The
+    D_a(P || Q) = log(sum_y P^a Q^(1-a)) / (a - 1).  The measure is read
+    from the pair's row; None for the other measures and for the generic
+    kind.  +inf if some input reaches an output Q gives no mass.  The
     caller holds `np.errstate(**_QUIET)`."""
-    kind, a = spec.kind, spec.alpha
+    measure = spec.pair.row[0] if spec.has_closed_p_step else None
     pos = w > 0.0
-    if kind == "shannon":
+    if measure == "shannon":
         return float(np.where(pos, w * np.log(w / (p @ w)), 0.0).sum(axis=1).max())
-    if kind not in ("arimoto_a1", "arimoto_a2"):
+    if measure != "arimoto":
         return None
+    a = spec.alpha
     q = (p ** a @ w ** a) ** (1.0 / a)
     q = q / q.sum()
     terms = np.where(pos, w ** a * q ** (1.0 - a), 0.0).sum(axis=1)

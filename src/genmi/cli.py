@@ -13,6 +13,7 @@ Exit codes: 0 on success, 2 on input-parse errors, 3 on domain errors,
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 import time
@@ -48,13 +49,14 @@ from .variational import (
     shannon_spec,
 )
 
-#: --measure name -> spec constructor; `mi` uses the spec's pair, `capacity`
-#: its default algorithm (`--algorithm` may swap the arimoto form).
+#: --measure name -> (spec constructor, the name `--algorithm auto` records);
+#: `mi` uses the spec's pair, `capacity` its default algorithm (`--algorithm`
+#: may swap the arimoto form).
 SPECS = {
-    "shannon": shannon_spec,
-    "arimoto": arimoto_a2_spec,
-    "hayashi": hayashi_spec,
-    "fehr-berens": fb_spec,
+    "shannon": (shannon_spec, "closed"),
+    "arimoto": (arimoto_a2_spec, "a2"),
+    "hayashi": (hayashi_spec, "exact"),
+    "fehr-berens": (fb_spec, "exact"),
 }
 
 RULES = {
@@ -65,7 +67,6 @@ RULES = {
     "alpha-loss": alpha_loss_rule,
     "alpha-score": alpha_score_rule,
 }
-PARAMETRIC_RULES = ("pseudo-spherical", "power", "alpha-loss", "alpha-score")
 
 
 def main(argv=None) -> int:
@@ -177,17 +178,17 @@ def _resolve_prior(args, nx: int, file_prior: Pmf | None) -> tuple[Pmf, str]:
     return p, format_vector(p.probs)
 
 
-def _check_alpha(measure: str, alpha: float | None) -> None:
-    if measure == "shannon":
-        if alpha is not None:
-            raise DomainError("--alpha is not accepted for the shannon measure")
-    elif alpha is None:
-        raise DomainError(f"--alpha is required for the {measure} measure")
+def _construct(make, alpha: float | None, what: str):
+    """make(alpha) for a constructor that takes an order, make() for one
+    that does not; DomainError for a missing or an extra --alpha."""
+    takes_order = bool(inspect.signature(make).parameters)
+    if takes_order != (alpha is not None):
+        raise DomainError(f"--alpha is {'required' if takes_order else 'not accepted'} for {what}")
+    return make(alpha) if takes_order else make()
 
 
 def _measure_spec(measure: str, alpha: float | None) -> FunctionalSpec:
-    _check_alpha(measure, alpha)
-    return SPECS[measure]() if alpha is None else SPECS[measure](alpha)
+    return _construct(SPECS[measure][0], alpha, f"the {measure} measure")
 
 
 def _unit_scale(bits: bool) -> tuple[float, str]:
@@ -230,15 +231,13 @@ def _cmd_mi(args) -> int:
 
 def _capacity_plan(measure: str, alpha: float | None, algorithm: str):
     """Resolve --algorithm into (spec, force_numeric, recorded name)."""
-    _check_alpha(measure, alpha)
+    make, auto_name = SPECS[measure]
     if algorithm in ("a1", "a2") and measure != "arimoto":
         raise DomainError(f"algorithm {algorithm!r} applies only to the arimoto measure")
     if algorithm == "a1":
-        return arimoto_a1_spec(alpha), False, "a1"
-    spec = _measure_spec(measure, alpha)
-    if algorithm == "numeric":
-        return spec, True, "numeric"
-    return spec, False, {"shannon": "closed", "arimoto": "a2"}.get(measure, "exact")
+        make = arimoto_a1_spec
+    spec = _construct(make, alpha, f"the {measure} measure")
+    return spec, algorithm == "numeric", auto_name if algorithm == "auto" else algorithm
 
 
 def _cmd_capacity(args) -> int:
@@ -292,19 +291,14 @@ def _cmd_leakage(args) -> int:
     prior, prior_echo = _resolve_prior(args, chan.nx, file_prior)
 
     if args.rule is not None:
-        if args.rule in PARAMETRIC_RULES:
-            if args.alpha is None:
-                raise DomainError(f"--alpha is required for rule {args.rule!r}")
-            rule = RULES[args.rule](args.alpha)
-        else:
-            if args.alpha is not None:
-                raise DomainError(f"--alpha is not accepted for rule {args.rule!r}")
-            rule = RULES[args.rule]()
+        rule = _construct(RULES[args.rule], args.alpha, f"rule {args.rule!r}")
         report = evsi_scoring(rule, prior, chan)
         multiplicative = mevsi_scoring(rule, prior, chan) if args.multiplicative else None
         source = {"rule": args.rule,
                   "alpha": "none" if args.alpha is None else format_float(args.alpha)}
     else:
+        if args.alpha is not None:
+            raise DomainError("--alpha is not accepted with --gain-matrix")
         matrix, c_declared = parse_gain_file(args.gain_matrix)
         report = evsi(matrix, prior, chan)
         multiplicative = (

@@ -26,7 +26,7 @@ elementwise; the conditional entropy and the capacity oracle rely on both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -50,6 +50,12 @@ class EntropyPair:
     `grad_f` is a subgradient of F, guaranteed on the simplex interior only.
     `eta_slope` is eta's derivative; with grad_f it gives the prior gradient
     of the variational functional, so a custom pair supplies it too.
+
+    `row` is the measure's identity, (measure name, sign, beta, b) in the
+    notation of the module docstring, set by the built-in constructors only
+    (Shannon's is ("shannon", 1, 1, 1), the family's order-1 limit).  It is
+    no constructor argument: a custom pair, or a `dataclasses.replace` copy,
+    has None whatever its name, and only the generic functional takes it.
     """
 
     name: str
@@ -59,6 +65,8 @@ class EntropyPair:
     eta_slope: Callable[[float], float]
     eta_domain: tuple[float, float]
     alpha: float | None = None
+    row: tuple[str, float, float, float] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def eta_checked(self, t: float) -> float:
         lo, hi = self.eta_domain
@@ -82,15 +90,21 @@ def _shannon_core(p: np.ndarray):
     return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=0)
 
 
+def _built_in(pair: EntropyPair, *row) -> EntropyPair:
+    """`pair` with its measure's row set: the one place a row is written."""
+    object.__setattr__(pair, "row", row)
+    return pair
+
+
 def shannon_pair() -> EntropyPair:
-    return EntropyPair(
+    return _built_in(EntropyPair(
         name="shannon",
         F=_shannon_core,
         grad_f=lambda p: -np.log(p) - 1.0,
         eta=lambda t: t,
         eta_slope=lambda t: 1.0,
         eta_domain=(-np.inf, np.inf),
-    )
+    ), "shannon", 1.0, 1.0, 1.0)
 
 
 #: The row (beta, b, kappa) of each order-a measure, as a function of the
@@ -114,7 +128,7 @@ def _power_pair(measure: str, alpha: float) -> EntropyPair:
     def grad_f(p: np.ndarray) -> np.ndarray:
         return sign * b * (p ** a).sum() ** (beta - 1.0) * p ** (a - 1.0)
 
-    return EntropyPair(
+    return _built_in(EntropyPair(
         name=f"{measure}({a:g})",
         F=F,
         grad_f=grad_f,
@@ -122,7 +136,7 @@ def _power_pair(measure: str, alpha: float) -> EntropyPair:
         eta_slope=lambda t: kappa / t,
         eta_domain=(0.0, np.inf) if a < 1.0 else (-np.inf, 0.0),
         alpha=a,
-    )
+    ), measure, sign, beta, b)
 
 
 def arimoto_pair(alpha: float) -> EntropyPair:

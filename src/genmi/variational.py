@@ -8,15 +8,15 @@ satisfies max_q G(p, q) = I(p, W), with the maximum at q = posterior.
 Besides the generic form, closed algebraic forms are provided for the
 Shannon measure and for the order-a power family of `entropy`, whose
 core is F(p) = sign (sum_x p(x)^a)^beta with sign = +1 below order 1
-and -1 above: two equivalent Arimoto forms (the second tilts the
-response columns), the Hayashi measure, and the Fehr-Berens measure.
-The first Arimoto form is the one historical exception whose inner
-maximizer is the tilted posterior rather than the posterior itself.
+and -1 above: two equivalent Arimoto forms, the Hayashi measure, and
+the Fehr-Berens measure.  The first Arimoto form is the one historical
+exception whose inner maximizer tilts the posterior by the order; every
+other kind's, the second Arimoto form included, is the posterior itself.
 
 Each kind's loss is written once, in `_loss_cells`, as a table of
 l(x, q(.|y)) over the cells of q, signed like its pair's core.  For the
 family it is one formula in the measure's row (beta, b = a beta), read
-from the spec: the proper loss sign s^(beta-1) ((1-b) s + b q^(a-1)),
+from the pair's `row`: the proper loss sign s^(beta-1) ((1-b) s + b q^(a-1)),
 with s the power sum of the column.
 Evaluation sums joint * loss over the cells with joint mass; the prior
 steps sum w * loss over each input's outputs into the coefficients c,
@@ -52,7 +52,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import (
-    _POWER_ROWS,
     EntropyPair,
     arimoto_pair,
     fehr_berens_pair,
@@ -68,7 +67,7 @@ from .errors import (
 from .scoring import GRAD_MIX, loss_from_core
 from .simplex import Channel, Pmf
 
-#: The built-in kinds, each with the measure (pair name) its formulas are for.
+#: The built-in kinds, each with the measure (its pair's `row[0]`) its formulas are for.
 _CLOSED_FORM_KINDS = {"shannon": "shannon", "arimoto_a1": "arimoto", "arimoto_a2": "arimoto",
                       "hayashi": "hayashi", "fb": "fehr-berens"}
 
@@ -111,18 +110,18 @@ class FunctionalSpec:
     `pair` is the entropy measure: G and its gradient come from it, and
     it lets callers cross-check against the direct mutual-information
     computation.  The order is the pair's.  A built-in kind's loss and
-    exact steps are written for one measure, so it takes only that
-    measure's pair (UnsupportedSpec otherwise); the generic kind takes any.
+    exact steps are written for one measure and read its row from the
+    pair, so it takes only a pair whose `row` names that measure
+    (UnsupportedSpec otherwise, a custom pair included); the generic kind
+    takes any.
     """
 
     kind: str  # shannon | arimoto_a1 | arimoto_a2 | hayashi | fb | generic
     pair: EntropyPair
 
     def __post_init__(self):
-        # the pair's name up to its order, and an order for all but Shannon
-        measure, name = _CLOSED_FORM_KINDS.get(self.kind), self.pair.name
-        own = (name.partition("(")[0], self.pair.alpha is None) == (measure, measure == "shannon")
-        if self.kind != "generic" and not own:
+        row, name = self.pair.row, self.pair.name
+        if self.kind != "generic" and (row is None or row[0] != _CLOSED_FORM_KINDS.get(self.kind)):
             raise UnsupportedSpec(f"no functional kind {self.kind!r} for the pair {name}")
 
     @property
@@ -210,20 +209,11 @@ def _loss_cells(spec: FunctionalSpec, q: np.ndarray, used: np.ndarray) -> np.nda
         for y in np.flatnonzero(used):
             cells[:, y] = loss_from_core(pair.F, pair.grad_f, q[:, y])
         return cells
-    sign, beta, b = _power_row(spec)
+    _, sign, beta, b = spec.pair.row
     if kind == "arimoto_a1":
         return sign * q ** ((a - 1.0) / a)
     s = (q ** a).sum(axis=0)  # the power sum of each column
     return sign * s ** (beta - 1.0) * ((1.0 - b) * s + b * q ** (a - 1.0))
-
-
-def _power_row(spec: FunctionalSpec) -> tuple[float, float, float]:
-    """(sign, beta, b) of a built-in order-a kind: beta and b from its
-    measure's row in `_POWER_ROWS`, and the core's sign, +1 below order 1
-    and -1 above."""
-    a = spec.alpha
-    beta, b, _ = _POWER_ROWS[_CLOSED_FORM_KINDS[spec.kind]](a)
-    return (1.0 if a < 1.0 else -1.0), beta, b
 
 
 def _outer_value(spec: FunctionalSpec, p: np.ndarray, e: float) -> float:
@@ -288,7 +278,7 @@ def p_step_closed(spec: FunctionalSpec, w: Channel, q: QFamily) -> Pmf:
 
 def _exact_step(spec: FunctionalSpec):
     """`step(c)` -> the prior of `p_step_closed` from the coefficients c
-    (+inf where an input's loss is), with the kind's row read once.
+    (+inf where an input's loss is), with the pair's row read once.
 
     Shannon's prior is proportional to exp(-c).  For the order-a family it
     is `_p_kkt`'s point from h = sign c and k = b - 1; Arimoto is the case
@@ -298,10 +288,9 @@ def _exact_step(spec: FunctionalSpec):
     The caller holds `np.errstate(**_QUIET)`.
     """
     kind, a = spec.kind, spec.alpha
-    if kind != "shannon":
-        sign, _, b = _power_row(spec)
-        if b != 1.0:
-            return lambda c: _p_kkt(kind, a, c if sign > 0.0 else -c, b - 1.0)
+    _, sign, _, b = spec.pair.row
+    if b != 1.0:  # Hayashi, Fehr-Berens (Shannon and Arimoto have b = 1)
+        return lambda c: _p_kkt(kind, a, c if sign > 0.0 else -c, b - 1.0)
 
     def step(c: np.ndarray) -> np.ndarray:
         log_p = -c if kind == "shannon" else np.log(c if sign > 0.0 else -c) / (a - 1.0)
@@ -606,7 +595,7 @@ def _coeff_kernel(spec: FunctionalSpec, w: np.ndarray):
         return coeffs
 
     wa = w ** a
-    sign, beta, b = _power_row(spec)
+    _, sign, beta, b = spec.pair.row
 
     if b == 1.0:  # Arimoto, both forms: r cancels
         def coeffs(p: np.ndarray):

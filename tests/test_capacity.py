@@ -550,7 +550,7 @@ class TestBatchMi:
 FORBIDDEN = {"_eval", "_expectation", "_loss_cells", "_outer_value", "_input_coeffs", "_coeffs",
              "_q_cols", "_exact_step", "_p_kkt", "_bracketed_root", "_p_numeric", "q_step",
              "eval_functional", "p_step_closed", "p_step_numeric", "variational",
-             "_coeff_kernel", "_table_coeffs", "_dual_radius", "_power_row"}
+             "_coeff_kernel", "_table_coeffs", "_dual_radius", "row"}
 
 
 def _names(code):
@@ -563,8 +563,9 @@ def _names(code):
 
 
 def test_oracle_shares_no_functional_or_step_code():
-    # the oracle may share the entropy kernel, never the functional or the
-    # updates: that independence is what lets it check them
+    # the oracle may share the entropy kernel (F and eta), never the
+    # functional, the updates or the pair's row the kernels read: that
+    # independence is what lets it check them
     seen = set()
     todo = [capacity.brute_force_search, capacity._batch_mi]
     while todo:

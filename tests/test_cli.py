@@ -2,6 +2,7 @@
 
 import pytest
 
+import gen_goldens
 from cli_cases import CASES, HERE, TRACE_CASE, run_cli
 
 
@@ -80,6 +81,20 @@ def test_alpha_validation():
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["--gain-matrix", "fixtures/identity_gain.gmx", "--alpha", "7"],
+    ["--rule", "log", "--alpha", "2"],
+    ["--rule", "power"],
+], ids=["gain-matrix-with-alpha", "log-with-alpha", "power-without-alpha"])
+def test_leakage_refuses_a_missing_or_an_extra_alpha(argv):
+    # a missing order is refused, and so is one the source takes no part in,
+    # rather than dropped without a word
+    proc = run_cli(["leakage", "fixtures/bsc10.chan", *argv])
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert b"error: DomainError: --alpha is " in proc.stderr
+
+
 @pytest.mark.parametrize("flag,value", [("--numeric-step", "0"), ("--numeric-step", "-1"),
                                         ("--numeric-step", "nan"), ("--numeric-iters", "0"),
                                         ("--numeric-iters", "-5")])
@@ -148,3 +163,19 @@ def test_one_input_channel_prints_zero_not_minus_zero(tmp_path):
         assert "-0" not in values, (argv, result)
         key = "capacity" if argv[0] == "capacity" else "mi"
         assert f"  {key}: 0\n" in result, (argv, result)
+
+
+def test_gen_goldens_check_writes_nothing_and_reports_a_change(tmp_path, capsys):
+    names = ["random_channel", "err_parse"]
+    golden = HERE / "golden"
+    before = {f.name: f.read_bytes() for f in golden.iterdir()}
+    assert gen_goldens.main(["--check", *names]) == 0
+    assert {f.name: f.read_bytes() for f in golden.iterdir()} == before
+    # a golden that differs, and one that is missing, would both change
+    (tmp_path / "random_channel.out").write_bytes(before["random_channel.out"] + b"\n")
+    capsys.readouterr()
+    assert gen_goldens.main(["--check", *names], golden=tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "would change golden/random_channel.out" in out
+    assert "would change golden/err_parse.out" in out
+    assert [f.name for f in tmp_path.iterdir()] == ["random_channel.out"]

@@ -283,10 +283,21 @@ class TestConstructors:
         }
         if a > 1.0:
             written[fehr_berens_pair] = (-s ** (1.0 / (a - 1.0)), lambda t: -np.log(-t))
+        measure = {arimoto_pair: "arimoto", hayashi_pair: "hayashi",
+                   fehr_berens_pair: "fehr-berens"}
+        p = cols[:, -1]  # an interior pmf, where grad F is finite
         for ctor, (core, eta) in written.items():
             pair = ctor(a)
             assert np.array_equal(pair.F(cols), core), pair.name
             assert np.array_equal(pair.eta(core), eta(core)), pair.name
+            # the row the variational kernels read is the row F is built from:
+            # F = sign s^beta, and grad F = sign b s^(beta-1) p^(a-1) with b = a beta
+            name, row_sign, beta, b = pair.row
+            assert (name, row_sign) == (measure[ctor], sign)
+            assert np.array_equal(row_sign * s ** beta, core), pair.name
+            assert b == pytest.approx(a * beta, rel=1e-15)
+            grad = row_sign * b * (p ** a).sum() ** (beta - 1.0) * p ** (a - 1.0)
+            assert np.array_equal(pair.grad_f(p), grad), pair.name
 
     def test_gradients_match_finite_differences(self):
         # tolerance is relative to the gradient scale; float64 central

@@ -1,5 +1,6 @@
 """Two-argument functionals: identities, maximizer steps, numeric ascent."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 
 from genmi import (
     DomainError,
+    EntropyPair,
     FunctionalSpec,
     NonFinite,
     Pmf,
@@ -148,6 +150,32 @@ class TestFunctionalSpec:
     def test_built_in_kind_rejects_another_measures_pair(self, kind, pair):
         with pytest.raises(UnsupportedSpec):
             FunctionalSpec(kind=kind, pair=pair)
+
+    BUILT_IN_KINDS = ("shannon", "arimoto_a1", "arimoto_a2", "hayashi", "fb")
+
+    @pytest.mark.parametrize("pair", [
+        shannon_pair(), arimoto_pair(0.5), arimoto_pair(2.0), hayashi_pair(0.5),
+        hayashi_pair(2.0), fehr_berens_pair(3.0),
+    ], ids=lambda p: p.name)
+    def test_a_copy_of_a_built_in_pair_is_no_built_in_measure(self, pair):
+        # the measure is the pair's row, which only the built-in constructors
+        # set: a copy keeps the name and the maps, not the identity
+        for copy in (dataclasses.replace(pair),
+                     dataclasses.replace(pair, name="hayashi(2)")):
+            assert copy.row is None and copy.F is pair.F
+            for kind in self.BUILT_IN_KINDS:
+                with pytest.raises(UnsupportedSpec):
+                    FunctionalSpec(kind=kind, pair=copy)
+            assert generic_spec(copy).pair is copy
+
+    def test_a_custom_pair_named_shannon_is_no_shannon(self):
+        ref = shannon_pair()
+        custom = EntropyPair(name="shannon", F=ref.F, grad_f=ref.grad_f, eta=ref.eta,
+                             eta_slope=ref.eta_slope, eta_domain=ref.eta_domain)
+        for kind in self.BUILT_IN_KINDS:
+            with pytest.raises(UnsupportedSpec):
+                FunctionalSpec(kind=kind, pair=custom)
+        assert generic_spec(custom).pair is custom
 
 
 class TestSubnormalPrior:
