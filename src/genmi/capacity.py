@@ -10,12 +10,29 @@ the analytic gradient instead.  Each iteration reads the objective and
 the coefficients of the next prior step together: for an exact step
 from matrix-vector products at the posterior (the Blahut-Arimoto form,
 `variational._coeff_kernel`), otherwise from one loss-cell table.
+
+The plain exact step (Blahut-Arimoto) converges linearly.  For the
+measures whose row has b = 1 -- Shannon and Arimoto -- each exact step
+t = T(p) is followed by an extrapolated trial x proportional to
+t (t/p)^(mu-1) over t's support (Matz & Duhamel 2004; Varadhan & Roland
+2008), kept only if its objective is at least t's and it empties no
+input that t keeps.  mu starts at _MU_GROW, grows by _MU_GROW on each
+kept trial up to _MU_MAX, and is cut by _MU_CUT on each rejected one
+down to 1, where x is t itself and no trial is taken; log-ratios within
+_RATIO_TIE of the largest count as tied with it.  So an iteration is an
+outer round of up to two kernel calls, and its trace value is the
+better of t and x.  Hayashi, Fehr-Berens, the generic kind and a forced
+numeric solve take the plain step.
+
 It stops when the objective gain drops below the threshold or the
-iteration budget runs out; because both half-steps are maximizations,
-the trace can never properly decrease -- a decrease beyond 1e-8 is
-reported as an internal bug.  For Shannon and Arimoto the result also
-carries the dual gap at the returned prior, a certified bound on how
-far the capacity can lie above it.
+iteration budget runs out; because the half-steps are maximizations and
+a trial is kept only where it is no worse, the trace can never properly
+decrease -- a decrease beyond 1e-8 is reported as an internal bug.  For
+Shannon and Arimoto the result also carries the dual gap at the returned
+prior, a certified bound on how far the capacity can lie above it.  At
+an extrapolated prior that bound can be looser than at the plain step's
+(8.8e-6 against 1.4e-6 for Shannon on random-channel 64x64 seed 1),
+although the capacity there is no lower.
 
 Inputs are validated at the edges of `solve`: on entry, where the start
 must be strictly interior, and in the Pmf it returns.  In between, the
@@ -54,6 +71,13 @@ from .variational import (
 
 #: Largest simplex grid the oracle will enumerate.
 MAX_GRID_POINTS = 20_000_000
+
+#: The exponent mu of the extrapolated trial of an exact Shannon or Arimoto
+#: step: it starts at _MU_GROW, grows by _MU_GROW on a kept trial, up to
+#: _MU_MAX, and is cut by _MU_CUT on a rejected one, down to 1.
+_MU_GROW, _MU_CUT, _MU_MAX = 1.5, 3.0, 256.0
+#: Log-ratios this close to the largest are rounding ties (`_extrapolated`).
+_RATIO_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,7 +128,11 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
 
     Starts from cfg.p0 (uniform by default, which must be strictly
     interior), takes the exact response step, then loops prior step /
-    response step until the objective stalls within epsilon.
+    response step until the objective stalls within epsilon.  For an
+    exact Shannon or Arimoto step each round also tries the extrapolated
+    prior of `_extrapolated` and keeps the better of the two, so
+    `iterations` counts rounds of up to two kernel calls; `gap` may be
+    looser at an extrapolated prior than at a plain one.
     """
     spec = cfg.spec
     p_x = cfg.p0 if cfg.p0 is not None else uniform(w.nx)
@@ -114,6 +142,8 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
         raise DomainError("initial prior must be strictly positive")
 
     exact = spec.has_closed_p_step and not cfg.force_numeric
+    extrapolate = exact and spec.pair.row[3] == 1.0  # b = 1: Shannon, Arimoto
+    mu = _MU_GROW  # as after a kept trial at mu = 1
     wm = w.rows
     converged = False
     with np.errstate(**_QUIET):
@@ -126,11 +156,23 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
         trace = [_outer_value(spec, p, e)]
         for _ in range(cfg.max_iter):
             if exact:
-                p = p_exact(c)
+                t = p_exact(c)
             else:
-                p = _p_numeric(spec, c, p, cfg.numeric_iters, cfg.numeric_step)
-            c, e = coeffs(p)
-            value = _outer_value(spec, p, e)
+                t = _p_numeric(spec, c, p, cfg.numeric_iters, cfg.numeric_step)
+            c, e = coeffs(t)
+            value = _outer_value(spec, t, e)
+            if extrapolate:
+                # at mu = 1 the trial is t itself: kept without a kernel call
+                kept = mu == 1.0
+                x = None if kept else _extrapolated(p, t, mu)
+                if x is not None:
+                    c_x, e_x = coeffs(x)
+                    value_x = _outer_value(spec, x, e_x)
+                    kept = value_x >= value
+                    if kept:
+                        t, c, e, value = x, c_x, e_x, value_x
+                mu = min(mu * _MU_GROW, _MU_MAX) if kept else max(mu / _MU_CUT, 1.0)
+            p = t
             if value < trace[-1] - 1e-8:
                 raise Diverged(f"iteration {len(trace)}: objective decreased "
                                f"from {trace[-1]:.12g} to {value:.12g}")
@@ -151,6 +193,27 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
         converged=converged,
         gap=None if radius is None else radius - trace[-1],
     )
+
+
+def _extrapolated(p: np.ndarray, t: np.ndarray, mu: float) -> np.ndarray | None:
+    """The trial x proportional to t (t/p)^(mu-1) over t's support, formed
+    in log space; None where it empties an input that t keeps.
+
+    Log-ratios log(t/p) within _RATIO_TIE of the largest count as equal to
+    it.  Inputs the channel treats alike (a symmetric channel's) have equal
+    ratios up to rounding, and a trial would otherwise scale that rounding
+    by mu - 1 round after round: 1e-16 grows to 1e-9 in twelve rounds.  The
+    caller holds `np.errstate(**_QUIET)`.
+    """
+    keep = t > 0.0
+    log_t = np.log(t)
+    ratio = np.where(keep, log_t - np.log(p), -math.inf)
+    top = ratio.max()
+    ratio = np.where(ratio >= top - _RATIO_TIE, top, ratio)
+    log_x = log_t + (mu - 1.0) * (ratio - top)
+    x = np.exp(log_x - log_x.max())
+    x = x / x.sum()
+    return x if np.all(x[keep] > 0.0) else None
 
 
 def _dual_radius(spec: FunctionalSpec, w: np.ndarray, p: np.ndarray) -> float | None:

@@ -112,10 +112,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="prior step: auto takes the exact one of the measure (recorded as "
                             "closed, a2 or exact); a1/a2 pick the arimoto form; numeric "
                             "takes gradient-ascent steps instead")
-    p_cap.add_argument("--numeric-iters", type=int, default=200,
-                       help="inner ascent rounds per prior update (--algorithm numeric only)")
-    p_cap.add_argument("--numeric-step", type=float, default=0.5,
-                       help="initial inner ascent step size (--algorithm numeric only)")
+    p_cap.add_argument("--numeric-iters", type=int, default=None,
+                       help="inner ascent rounds per prior update (default 200; "
+                            "--algorithm numeric only)")
+    p_cap.add_argument("--numeric-step", type=float, default=None,
+                       help="initial inner ascent step size (default 0.5; "
+                            "--algorithm numeric only)")
     p_cap.add_argument("--trace", metavar="PATH", help="write per-iteration objective values")
     p_cap.add_argument("--bits", action="store_true")
     p_cap.set_defaults(func=_cmd_capacity)
@@ -240,6 +242,19 @@ def _capacity_plan(measure: str, alpha: float | None, algorithm: str):
     return spec, algorithm == "numeric", auto_name if algorithm == "auto" else algorithm
 
 
+def _numeric_settings(args) -> dict:
+    """The SolverConfig fields set by --numeric-iters / --numeric-step;
+    DomainError for either without --algorithm numeric, which alone reads
+    them."""
+    given = {field: value for field, value in (("numeric_iters", args.numeric_iters),
+                                               ("numeric_step", args.numeric_step))
+             if value is not None}
+    if given and args.algorithm != "numeric":
+        flag = "--" + next(iter(given)).replace("_", "-")
+        raise DomainError(f"{flag} is accepted only with --algorithm numeric")
+    return given
+
+
 def _cmd_capacity(args) -> int:
     chan, _ = parse_channel_file(args.channel)
     spec, force, algo_name = _capacity_plan(args.measure, args.alpha, args.algorithm)
@@ -247,10 +262,9 @@ def _cmd_capacity(args) -> int:
         spec=spec,
         epsilon=args.eps,
         max_iter=args.max_iter,
-        numeric_step=args.numeric_step,
-        numeric_iters=args.numeric_iters,
         force_numeric=force,
         relative=args.relative_eps,
+        **_numeric_settings(args),
     )
     result = solve(cfg, chan)
     scale, units = _unit_scale(args.bits)

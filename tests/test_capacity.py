@@ -48,6 +48,13 @@ def bsc(eps):
     return make_channel([[1 - eps, eps], [eps, 1 - eps]])
 
 
+def zero_mass_column_channel():
+    rows = np.random.default_rng(79).random((3, 4))
+    rows[:, 1] = 0.0  # no input reaches output 1
+    rows[0, 2] = rows[2, 3] = 0.0  # output 3 has no mass when only input 2 does
+    return make_channel(rows)
+
+
 class TestSolveShannon:
     def test_bsc_closed_form(self):
         result = solve(SolverConfig(spec=shannon_spec(), epsilon=1e-12), bsc(0.1))
@@ -304,19 +311,51 @@ class TestOracle:
         assert val == pytest.approx(sol.capacity, abs=1e-4)
 
 
-def _public_loop(cfg, w):
-    """solve()'s loop written over the public, validating steps."""
+def _extrapolated_ref(p, t, mu):
+    """The trial t (t/p)^(mu-1) over t's support, log-ratios within the tie
+    tolerance of the largest taken as equal to it, normalized; None where it
+    gives no mass to an input t keeps."""
+    keep = t > 0
+    ratio = np.log(t[keep]) - np.log(p[keep])
+    ratio[ratio >= ratio.max() - capacity._RATIO_TIE] = ratio.max()
+    log_x = np.log(t[keep]) + (mu - 1) * (ratio - ratio.max())
+    x = np.zeros_like(t)
+    x[keep] = np.exp(log_x - log_x.max())
+    x /= x.sum()
+    return make_pmf(x) if np.all(x[keep] > 0) else None
+
+
+def _public_loop(cfg, w, accelerated=True):
+    """solve()'s loop written over the public, validating steps, with the
+    extrapolated trial after each exact Shannon or Arimoto step; with
+    `accelerated=False`, the plain alternation without trials."""
     spec = cfg.spec
+    exact = spec.has_closed_p_step and not cfg.force_numeric
+    extrapolate = accelerated and exact and spec.kind in ("shannon", "arimoto_a1", "arimoto_a2")
+    mu = capacity._MU_GROW
     p = cfg.p0 if cfg.p0 is not None else uniform(w.nx)
     q = q_step(spec, p, w)
     trace = [eval_functional(spec, p, w, q)]
     for _ in range(cfg.max_iter):
-        if spec.has_closed_p_step and not cfg.force_numeric:
-            p = p_step_closed(spec, w, q)
+        if exact:
+            t = p_step_closed(spec, w, q)
         else:
-            p = p_step_numeric(spec, w, q, p, iters=cfg.numeric_iters, step=cfg.numeric_step)
-        q = q_step(spec, p, w)
-        trace.append(eval_functional(spec, p, w, q))
+            t = p_step_numeric(spec, w, q, p, iters=cfg.numeric_iters, step=cfg.numeric_step)
+        q = q_step(spec, t, w)
+        value = eval_functional(spec, t, w, q)
+        if extrapolate:
+            kept = mu == 1.0
+            x = None if kept else _extrapolated_ref(p.probs, t.probs, mu)
+            if x is not None:
+                q_x = q_step(spec, x, w)
+                value_x = eval_functional(spec, x, w, q_x)
+                kept = value_x >= value
+                if kept:
+                    t, q, value = x, q_x, value_x
+            mu = min(mu * capacity._MU_GROW, capacity._MU_MAX) if kept else \
+                max(mu / capacity._MU_CUT, 1.0)
+        p = t
+        trace.append(value)
         if abs(trace[-1] - trace[-2]) < cfg.epsilon:
             return trace, p, True
     return trace, p, False
@@ -391,6 +430,85 @@ class TestSolveMatchesPublicSteps:
             self._assert_same(cfg, w)
 
 
+def _named(nx, ny, seed):
+    return parse_channel_text(random_channel_text(nx, ny, seed))[0]
+
+
+class TestExtrapolatedStep:
+    """The extrapolated trial of an exact Shannon or Arimoto step against
+    the plain alternation over the public steps (`_public_loop` without
+    trials): never a lower capacity, in a fraction of the iterations, and
+    never an input emptied that the plain step keeps."""
+
+    @pytest.mark.parametrize("spec, shape, seed", [
+        (shannon_spec(), (3, 3), 2), (shannon_spec(), (64, 64), 1),
+        (arimoto_a2_spec(2.0), (64, 64), 1), (arimoto_a2_spec(0.5), (5, 4), 1),
+    ], ids=["shannon-3x3", "shannon-64x64", "a2(2)-64x64", "a2(0.5)-5x4"])
+    def test_never_loses_to_the_plain_step(self, spec, shape, seed):
+        w = _named(*shape, seed)
+        cfg = SolverConfig(spec=spec)
+        got = solve(cfg, w)
+        trace, _, converged = _public_loop(cfg, w, accelerated=False)
+        assert got.converged and converged
+        assert got.capacity >= trace[-1] - 1e-12
+        assert 5 * got.iterations <= len(trace) - 1
+
+    @pytest.mark.parametrize("spec, shape, seed", [
+        (arimoto_a2_spec(0.5), (3, 3), 1), (arimoto_a1_spec(0.5), (3, 3), 1),
+        (arimoto_a2_spec(0.3), (6, 5), 2),
+    ], ids=["a2(0.5)-3x3", "a1(0.5)-3x3", "a2(0.3)-6x5"])
+    def test_converges_where_the_plain_step_spends_its_budget(self, spec, shape, seed):
+        w = _named(*shape, seed)
+        cfg = SolverConfig(spec=spec)
+        got = solve(cfg, w)
+        trace, _, converged = _public_loop(cfg, w, accelerated=False)
+        assert not converged and len(trace) - 1 == 10_000
+        assert got.converged and got.iterations < 1000
+        assert got.capacity >= trace[-1] - 1e-12
+        assert got.gap >= -1e-12
+
+    @pytest.mark.parametrize("w", [
+        make_channel([[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]]), zero_mass_column_channel(),
+    ], ids=["boundary-optimum", "zero-mass-output"])
+    def test_trial_empties_no_input_the_plain_step_keeps(self, monkeypatch, w):
+        trials = []
+
+        def spy(p, t, mu):
+            x = extrapolated(p, t, mu)
+            trials.append((t, x))
+            return x
+
+        extrapolated = capacity._extrapolated
+        monkeypatch.setattr(capacity, "_extrapolated", spy)
+        for spec in (shannon_spec(), arimoto_a1_spec(0.5), arimoto_a2_spec(0.5),
+                     arimoto_a2_spec(2.0)):
+            cfg = SolverConfig(spec=spec, epsilon=1e-12, max_iter=5000)
+            trials.clear()
+            got = solve(cfg, w)
+            assert trials
+            assert all(np.all(x[t > 0] > 0) for t, x in trials if x is not None)
+            _, p, _ = _public_loop(cfg, w, accelerated=False)
+            assert np.all(got.argmax_p.probs[p.probs > 0] > 0)
+
+    def test_trial_that_would_empty_an_input_is_refused(self):
+        p = np.array([0.4, 0.4, 0.2, 0.0])
+        t = np.array([0.5, 0.4998, 0.0002, 0.0])  # the third input's mass falls 1000-fold
+        with np.errstate(**variational._QUIET):
+            x = capacity._extrapolated(p, t, 2.0)
+            assert x[3] == 0.0 and np.all(x[:3] > 0.0)
+            assert x[2] < t[2] and x.sum() == pytest.approx(1.0, abs=1e-15)
+            # 1e-3 ** 255 is far below the smallest float: the trial would empty it
+            assert capacity._extrapolated(p, t, 256.0) is None
+
+    def test_rounding_ties_stay_tied(self):
+        # equal ratios up to rounding are not scaled apart by mu - 1
+        p = np.array([0.45, 0.45, 0.1])
+        t = np.array([0.48, 0.48 * (1.0 + 4e-16), 0.04])
+        with np.errstate(**variational._QUIET):
+            x = capacity._extrapolated(p, t / t.sum(), 256.0)
+        assert abs(x[1] / x[0] - t[1] / t[0]) <= 1e-15
+
+
 class TestExactSolveSkipsTheTable:
     """An exact solve reads c from the matrix-vector kernel; only a forced
     numeric solve (or the generic kind) builds the loss-cell table."""
@@ -441,7 +559,7 @@ class TestDualGap:
         got = solve(SolverConfig(spec=shannon_spec()), w)
         want = _shannon_radius(got.argmax_p.probs, w.rows) - got.capacity
         assert got.converged and got.gap == pytest.approx(want, abs=1e-13)
-        assert 0.9e-5 < got.gap < 1.1e-5
+        assert 7.4e-6 < got.gap < 9.0e-6
 
     @pytest.mark.parametrize("make,a", [(shannon_spec, None), (arimoto_a1_spec, 0.5),
                                         (arimoto_a2_spec, 0.5), (arimoto_a1_spec, 2.0),
@@ -499,13 +617,6 @@ class TestOracleGrid:
             assert gc.collect() == 0
         finally:
             gc.enable()
-
-
-def zero_mass_column_channel():
-    rows = np.random.default_rng(79).random((3, 4))
-    rows[:, 1] = 0.0  # no input reaches output 1
-    rows[0, 2] = rows[2, 3] = 0.0  # output 3 has no mass when only input 2 does
-    return make_channel(rows)
 
 
 KERNEL_SPECS = [shannon_spec()] + [

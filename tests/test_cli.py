@@ -25,6 +25,16 @@ def test_trace_file_golden(tmp_path):
     assert trace.read_bytes() == (HERE / "golden" / f"{name}.tsv").read_bytes()
 
 
+def test_readme_trace_example_is_the_golden():
+    # the README's --trace example is the start of the trace golden
+    readme = (HERE.parent / "README.md").read_text(encoding="utf-8")
+    header = "k\tF\tdeltaF\n"
+    example = (header + readme.split(header, 1)[1].split("```", 1)[0]).splitlines()
+    golden = (HERE / "golden" / f"{TRACE_CASE[0]}.tsv").read_text(encoding="utf-8").splitlines()
+    assert len(example) >= 3
+    assert example == golden[:len(example)]
+
+
 def test_rerun_is_byte_identical():
     argv = ["capacity", "fixtures/asym22.chan", "--measure", "fehr-berens", "--alpha", "3"]
     first = run_cli(argv)
@@ -101,10 +111,35 @@ def test_leakage_refuses_a_missing_or_an_extra_alpha(argv):
 def test_degenerate_numeric_settings_are_domain_errors(flag, value):
     # each leaves the prior where it starts, which used to print `converged: true`
     proc = run_cli(["capacity", "fixtures/asym22.chan", "--measure", "hayashi", "--alpha", "2",
-                    flag, value])
+                    "--algorithm", "numeric", flag, value])
     assert proc.returncode == 3
     assert proc.stdout == b""
     assert b"error: DomainError: numeric ascent" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--measure", "shannon", "--numeric-iters", "50"],
+    ["--measure", "hayashi", "--alpha", "2", "--numeric-step", "0.25"],
+    ["--measure", "arimoto", "--alpha", "2", "--algorithm", "a1", "--numeric-iters", "50"],
+], ids=["shannon-iters", "hayashi-step", "a1-iters"])
+def test_numeric_settings_need_the_numeric_algorithm(argv):
+    # only the numeric ascent reads them: refused rather than dropped without a word
+    proc = run_cli(["capacity", "fixtures/asym22.chan", *argv])
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert b"is accepted only with --algorithm numeric" in proc.stderr
+    proc = run_cli(["capacity", "fixtures/asym22.chan", *argv, "--algorithm", "numeric"])
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_arimoto_half_on_named_channel_converges(tmp_path):
+    # random-channel 3x3 seed 1 at order 0.5 used to spend the whole
+    # 10,000-iteration budget and exit 4
+    chan = tmp_path / "r331.chan"
+    chan.write_bytes(run_cli(["random-channel", "--nx", "3", "--ny", "3", "--seed", "1"]).stdout)
+    proc = run_cli(["capacity", str(chan), "--measure", "arimoto", "--alpha", "0.5"])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert b"converged: true" in proc.stdout
 
 
 def test_bad_prior_length_is_domain_error():
