@@ -11,18 +11,16 @@ the coefficients of the next prior step together: for an exact step
 from matrix-vector products at the posterior (the Blahut-Arimoto form,
 `variational._coeff_kernel`), otherwise from one loss-cell table.
 
-The plain exact step (Blahut-Arimoto) converges linearly.  For the
-measures whose row has b = 1 -- Shannon and Arimoto -- each exact step
-t = T(p) is followed by an extrapolated trial x proportional to
-t (t/p)^(mu-1) over t's support (Matz & Duhamel 2004; Varadhan & Roland
-2008), kept only if its objective is at least t's and it empties no
-input that t keeps.  mu starts at _MU_GROW, grows by _MU_GROW on each
-kept trial up to _MU_MAX, and is cut by _MU_CUT on each rejected one
-down to 1, where x is t itself and no trial is taken; log-ratios within
-_RATIO_TIE of the largest count as tied with it.  So an iteration is an
-outer round of up to two kernel calls, and its trace value is the
-better of t and x.  Hayashi, Fehr-Berens, the generic kind and a forced
-numeric solve take the plain step.
+The plain alternation converges linearly.  So each prior step t = T(p),
+exact or numeric, is followed by an extrapolated trial x proportional
+to t (t/p)^(mu-1) over t's support (Matz & Duhamel 2004; Varadhan &
+Roland 2008), kept only if its objective is at least t's and it empties
+no input that t keeps.  mu starts at _MU_GROW, grows by _MU_GROW on
+each kept trial up to _MU_MAX, and is cut by _MU_CUT on each rejected
+one down to 1, where x is t itself and no trial is taken; log-ratios
+within _RATIO_TIE of the largest count as tied with it.  So an
+iteration is an outer round of up to two kernel calls, and its trace
+value is the better of t and x.
 
 It stops when the objective gain drops below the threshold or the
 iteration budget runs out; because the half-steps are maximizations and
@@ -72,9 +70,9 @@ from .variational import (
 #: Largest simplex grid the oracle will enumerate.
 MAX_GRID_POINTS = 20_000_000
 
-#: The exponent mu of the extrapolated trial of an exact Shannon or Arimoto
-#: step: it starts at _MU_GROW, grows by _MU_GROW on a kept trial, up to
-#: _MU_MAX, and is cut by _MU_CUT on a rejected one, down to 1.
+#: The exponent mu of the extrapolated trial after each prior step: it
+#: starts at _MU_GROW, grows by _MU_GROW on a kept trial, up to _MU_MAX,
+#: and is cut by _MU_CUT on a rejected one, down to 1.
 _MU_GROW, _MU_CUT, _MU_MAX = 1.5, 3.0, 256.0
 #: Log-ratios this close to the largest are rounding ties (`_extrapolated`).
 _RATIO_TIE = 1e-12
@@ -128,8 +126,8 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
 
     Starts from cfg.p0 (uniform by default, which must be strictly
     interior), takes the exact response step, then loops prior step /
-    response step until the objective stalls within epsilon.  For an
-    exact Shannon or Arimoto step each round also tries the extrapolated
+    response step until the objective stalls within epsilon.  After each
+    prior step, exact or numeric, the round also tries the extrapolated
     prior of `_extrapolated` and keeps the better of the two, so
     `iterations` counts rounds of up to two kernel calls; `gap` may be
     looser at an extrapolated prior than at a plain one.
@@ -142,7 +140,6 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
         raise DomainError("initial prior must be strictly positive")
 
     exact = spec.has_closed_p_step and not cfg.force_numeric
-    extrapolate = exact and spec.pair.row[3] == 1.0  # b = 1: Shannon, Arimoto
     mu = _MU_GROW  # as after a kept trial at mu = 1
     wm = w.rows
     converged = False
@@ -161,17 +158,16 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
                 t = _p_numeric(spec, c, p, cfg.numeric_iters, cfg.numeric_step)
             c, e = coeffs(t)
             value = _outer_value(spec, t, e)
-            if extrapolate:
-                # at mu = 1 the trial is t itself: kept without a kernel call
-                kept = mu == 1.0
-                x = None if kept else _extrapolated(p, t, mu)
-                if x is not None:
-                    c_x, e_x = coeffs(x)
-                    value_x = _outer_value(spec, x, e_x)
-                    kept = value_x >= value
-                    if kept:
-                        t, c, e, value = x, c_x, e_x, value_x
-                mu = min(mu * _MU_GROW, _MU_MAX) if kept else max(mu / _MU_CUT, 1.0)
+            # at mu = 1 the trial is t itself: kept without a kernel call
+            kept = mu == 1.0
+            x = None if kept else _extrapolated(p, t, mu)
+            if x is not None:
+                c_x, e_x = coeffs(x)
+                value_x = _outer_value(spec, x, e_x)
+                kept = value_x >= value
+                if kept:
+                    t, c, e, value = x, c_x, e_x, value_x
+            mu = min(mu * _MU_GROW, _MU_MAX) if kept else max(mu / _MU_CUT, 1.0)
             p = t
             if value < trace[-1] - 1e-8:
                 raise Diverged(f"iteration {len(trace)}: objective decreased "

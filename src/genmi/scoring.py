@@ -73,10 +73,6 @@ class GainMatrix:
     def nx(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_actions(self) -> int:
-        return self.values.shape[1]
-
 
 def identity_gain(m: int) -> GainMatrix:
     """0-1 utility for point estimation: guessing the state exactly pays 1."""

@@ -57,6 +57,9 @@ CASES = [
      ["capacity", "fixtures/asym22.chan", "--measure", "hayashi", "--alpha", "2"], 0),
     ("cap_fb_numeric",
      ["capacity", "fixtures/asym22.chan", "--measure", "fehr-berens", "--alpha", "2"], 0),
+    ("cap_hayashi_forced_numeric",
+     ["capacity", "fixtures/asym22.chan", "--measure", "hayashi", "--alpha", "0.5",
+      "--algorithm", "numeric"], 0),
     ("leak_log", ["leakage", "fixtures/bsc10.chan", "--rule", "log"], 0),
     ("leak_alpha_score_mult",
      ["leakage", "fixtures/bsc10.chan", "--rule", "alpha-score", "--alpha", "2",

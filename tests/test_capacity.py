@@ -327,11 +327,10 @@ def _extrapolated_ref(p, t, mu):
 
 def _public_loop(cfg, w, accelerated=True):
     """solve()'s loop written over the public, validating steps, with the
-    extrapolated trial after each exact Shannon or Arimoto step; with
+    extrapolated trial after each prior step, exact or numeric; with
     `accelerated=False`, the plain alternation without trials."""
     spec = cfg.spec
     exact = spec.has_closed_p_step and not cfg.force_numeric
-    extrapolate = accelerated and exact and spec.kind in ("shannon", "arimoto_a1", "arimoto_a2")
     mu = capacity._MU_GROW
     p = cfg.p0 if cfg.p0 is not None else uniform(w.nx)
     q = q_step(spec, p, w)
@@ -343,7 +342,7 @@ def _public_loop(cfg, w, accelerated=True):
             t = p_step_numeric(spec, w, q, p, iters=cfg.numeric_iters, step=cfg.numeric_step)
         q = q_step(spec, t, w)
         value = eval_functional(spec, t, w, q)
-        if extrapolate:
+        if accelerated:
             kept = mu == 1.0
             x = None if kept else _extrapolated_ref(p.probs, t.probs, mu)
             if x is not None:
@@ -416,6 +415,14 @@ class TestSolveMatchesPublicSteps:
             got = self._assert_close(SolverConfig(spec=spec, epsilon=1e-12, max_iter=5000), w)
             assert got.argmax_p[2] < 1e-3
 
+    @pytest.mark.parametrize("d", [1e-6, 1e-11])
+    def test_near_tied_inputs(self, d):
+        # two inputs alike only nearly: their log-ratios differ by more
+        # than rounding, or by about the tie tolerance
+        w = make_channel([[0.9, 0.1], [0.9 - d, 0.1 + d], [0.2, 0.8]])
+        for spec in self.SPECS:
+            self._assert_close(SolverConfig(spec=spec), w)
+
     def test_budget_exhausted(self):
         w = rand_channel(np.random.default_rng(67), 3, 3)
         for spec in self.SPECS:
@@ -435,18 +442,23 @@ def _named(nx, ny, seed):
 
 
 class TestExtrapolatedStep:
-    """The extrapolated trial of an exact Shannon or Arimoto step against
+    """The extrapolated trial after a prior step, exact or numeric, against
     the plain alternation over the public steps (`_public_loop` without
     trials): never a lower capacity, in a fraction of the iterations, and
     never an input emptied that the plain step keeps."""
 
-    @pytest.mark.parametrize("spec, shape, seed", [
-        (shannon_spec(), (3, 3), 2), (shannon_spec(), (64, 64), 1),
-        (arimoto_a2_spec(2.0), (64, 64), 1), (arimoto_a2_spec(0.5), (5, 4), 1),
-    ], ids=["shannon-3x3", "shannon-64x64", "a2(2)-64x64", "a2(0.5)-5x4"])
-    def test_never_loses_to_the_plain_step(self, spec, shape, seed):
+    @pytest.mark.parametrize("spec, shape, seed, force_numeric", [
+        (shannon_spec(), (3, 3), 2, False), (shannon_spec(), (64, 64), 1, False),
+        (arimoto_a2_spec(2.0), (64, 64), 1, False), (arimoto_a2_spec(0.5), (5, 4), 1, False),
+        (hayashi_spec(0.5), (3, 3), 9, False), (hayashi_spec(0.5), (4, 4), 3, False),
+        (arimoto_a1_spec(0.5), (3, 3), 1, True), (hayashi_spec(0.5), (3, 3), 9, True),
+        (generic_spec(shannon_pair()), (3, 3), 2, False),
+    ], ids=["shannon-3x3", "shannon-64x64", "a2(2)-64x64", "a2(0.5)-5x4",
+            "hayashi(0.5)-3x3", "hayashi(0.5)-4x4", "numeric-a1(0.5)-3x3",
+            "numeric-hayashi(0.5)-3x3", "generic-shannon-3x3"])
+    def test_never_loses_to_the_plain_step(self, spec, shape, seed, force_numeric):
         w = _named(*shape, seed)
-        cfg = SolverConfig(spec=spec)
+        cfg = SolverConfig(spec=spec, force_numeric=force_numeric)
         got = solve(cfg, w)
         trace, _, converged = _public_loop(cfg, w, accelerated=False)
         assert got.converged and converged
@@ -480,9 +492,14 @@ class TestExtrapolatedStep:
 
         extrapolated = capacity._extrapolated
         monkeypatch.setattr(capacity, "_extrapolated", spy)
-        for spec in (shannon_spec(), arimoto_a1_spec(0.5), arimoto_a2_spec(0.5),
-                     arimoto_a2_spec(2.0)):
-            cfg = SolverConfig(spec=spec, epsilon=1e-12, max_iter=5000)
+        for spec, force_numeric in (
+                (shannon_spec(), False), (arimoto_a1_spec(0.5), False),
+                (arimoto_a2_spec(0.5), False), (arimoto_a2_spec(2.0), False),
+                (hayashi_spec(0.5), False), (hayashi_spec(3.0), False), (fb_spec(1.5), False),
+                (arimoto_a2_spec(2.0), True), (hayashi_spec(0.5), True),
+                (generic_spec(shannon_pair()), False)):
+            cfg = SolverConfig(spec=spec, epsilon=1e-12, max_iter=5000,
+                               force_numeric=force_numeric)
             trials.clear()
             got = solve(cfg, w)
             assert trials
