@@ -6,10 +6,13 @@ full round.  The outer step is exact for every built-in measure (a
 closed form for Shannon and Arimoto, a root-found KKT point for Hayashi
 and Fehr-Berens); the generic functional, or a solve with
 `force_numeric`, takes a safeguarded exponentiated-gradient ascent on
-the analytic gradient instead.  Each iteration reads the objective and
-the coefficients of the next prior step together: for an exact step
-from matrix-vector products at the posterior (the Blahut-Arimoto form,
-`variational._coeff_kernel`), otherwise from one loss-cell table.
+the analytic gradient instead, with a fixed round budget and step size
+and no setting of its own.  Below order 1 that ascent can stop short of
+the capacity while the loop reports convergence.  Each iteration reads
+the objective and the coefficients of the next prior step together: for
+an exact step from matrix-vector products at the posterior (the
+Blahut-Arimoto form, `variational._coeff_kernel`), otherwise from one
+loss-cell table.
 
 The plain alternation converges linearly.  So each prior step t = T(p),
 exact or numeric, is followed by an extrapolated trial x proportional
@@ -48,6 +51,7 @@ functional or update code, so it catches errors anywhere in that chain.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +62,6 @@ from .simplex import Channel, Pmf, uniform
 from .variational import (
     _QUIET,
     FunctionalSpec,
-    _check_count,
-    _check_numeric_settings,
     _coeff_kernel,
     _exact_step,
     _outer_value,
@@ -69,6 +71,10 @@ from .variational import (
 
 #: Largest simplex grid the oracle will enumerate.
 MAX_GRID_POINTS = 20_000_000
+#: Cells (grid points x |X| x |Y|) in one oracle block, so that the
+#: (|X|, rows, |Y|) posterior block of `_batch_mi` and its temporaries
+#: stay a few 8 MB arrays whatever the channel's size.
+_BLOCK_CELLS = 2 ** 20
 
 #: The exponent mu of the extrapolated trial after each prior step: it
 #: starts at _MU_GROW, grows by _MU_GROW on a kept trial, up to _MU_MAX,
@@ -80,33 +86,29 @@ _RATIO_TIE = 1e-12
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Measure selection plus stopping and inner-solver knobs.
+    """Measure selection plus stopping settings.
 
     `epsilon` is the absolute objective-gain threshold (must lie in
     (0, 1)); `relative` switches to |gain| / max(1, |value|) as an
-    opt-in.  Every built-in measure has an exact prior step;
-    `force_numeric` routes it through the numeric ascent instead (an
-    independent cross-check).  `numeric_*` only matter for that ascent
-    -- the generic functional's prior step, or a forced one -- but must
-    be usable for all (an integer count of rounds, at least 1, and a
-    finite positive step).  `max_iter` is an integer of at least 1 too.
-    Each setting out of range raises DomainError.
+    opt-in.  `max_iter` is an integer of at least 1.  Each setting out of
+    range raises DomainError.  Every built-in measure has an exact prior
+    step; `force_numeric` routes it through the numeric ascent instead (an
+    independent cross-check), whose rounds and step size are fixed
+    (`variational._NUMERIC_ROUNDS`, `_NUMERIC_STEP`).
     """
 
     spec: FunctionalSpec
     epsilon: float = 1e-10
     max_iter: int = 10000
     p0: Pmf | None = None
-    numeric_step: float = 0.5
-    numeric_iters: int = 200
     force_numeric: bool = False
     relative: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        _check_count("max_iter", self.max_iter)
-        _check_numeric_settings(self.numeric_iters, self.numeric_step)
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise DomainError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -152,10 +154,7 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
         c, e = coeffs(p)
         trace = [_outer_value(spec, p, e)]
         for _ in range(cfg.max_iter):
-            if exact:
-                t = p_exact(c)
-            else:
-                t = _p_numeric(spec, c, p, cfg.numeric_iters, cfg.numeric_step)
+            t = p_exact(c) if exact else _p_numeric(spec, c, p)
             c, e = coeffs(t)
             value = _outer_value(spec, t, e)
             # at mu = 1 the trial is t itself: kept without a kernel call
@@ -281,7 +280,7 @@ def brute_force_search(
 
     best_val = -math.inf
     best_p: np.ndarray | None = None
-    for chunk in _grid_chunks(m, steps, chunk_rows=250_000):
+    for chunk in _grid_chunks(m, steps, chunk_rows=max(1, _BLOCK_CELLS // (m * w.ny))):
         vals = _batch_mi(spec, chunk, w.rows)
         i = int(np.argmax(vals))
         if vals[i] > best_val:

@@ -111,13 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--algorithm", choices=("auto", "a1", "a2", "numeric"), default="auto",
                        help="prior step: auto takes the exact one of the measure (recorded as "
                             "closed, a2 or exact); a1/a2 pick the arimoto form; numeric "
-                            "takes gradient-ascent steps instead")
-    p_cap.add_argument("--numeric-iters", type=int, default=None,
-                       help="inner ascent rounds per prior update (default 200; "
-                            "--algorithm numeric only)")
-    p_cap.add_argument("--numeric-step", type=float, default=None,
-                       help="initial inner ascent step size (default 0.5; "
-                            "--algorithm numeric only)")
+                            "takes up to 200 gradient-ascent rounds instead, an independent "
+                            "cross-check that can stop short below order 1")
     p_cap.add_argument("--trace", metavar="PATH", help="write per-iteration objective values")
     p_cap.add_argument("--bits", action="store_true")
     p_cap.set_defaults(func=_cmd_capacity)
@@ -242,19 +237,6 @@ def _capacity_plan(measure: str, alpha: float | None, algorithm: str):
     return spec, algorithm == "numeric", auto_name if algorithm == "auto" else algorithm
 
 
-def _numeric_settings(args) -> dict:
-    """The SolverConfig fields set by --numeric-iters / --numeric-step;
-    DomainError for either without --algorithm numeric, which alone reads
-    them."""
-    given = {field: value for field, value in (("numeric_iters", args.numeric_iters),
-                                               ("numeric_step", args.numeric_step))
-             if value is not None}
-    if given and args.algorithm != "numeric":
-        flag = "--" + next(iter(given)).replace("_", "-")
-        raise DomainError(f"{flag} is accepted only with --algorithm numeric")
-    return given
-
-
 def _cmd_capacity(args) -> int:
     chan, _ = parse_channel_file(args.channel)
     spec, force, algo_name = _capacity_plan(args.measure, args.alpha, args.algorithm)
@@ -264,7 +246,6 @@ def _cmd_capacity(args) -> int:
         max_iter=args.max_iter,
         force_numeric=force,
         relative=args.relative_eps,
-        **_numeric_settings(args),
     )
     result = solve(cfg, chan)
     scale, units = _unit_scale(args.bits)

@@ -44,7 +44,6 @@ class ScoringRule:
     responder: Callable[[np.ndarray], np.ndarray]
     proper: bool
     c_of_g: float | None = None
-    alpha: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("gain", "loss"):
@@ -150,7 +149,7 @@ def pseudo_spherical_rule(alpha: float) -> ScoringRule:
 
     return ScoringRule(
         "pseudo-spherical", "gain", score, lambda p: p,
-        proper=True, c_of_g=a / (a - 1.0), alpha=a,
+        proper=True, c_of_g=a / (a - 1.0),
     )
 
 
@@ -166,7 +165,7 @@ def power_rule(alpha: float) -> ScoringRule:
 
     return ScoringRule(
         "power", "gain", score, lambda p: p,
-        proper=True, c_of_g=1.0 / (a - 1.0), alpha=a,
+        proper=True, c_of_g=1.0 / (a - 1.0),
     )
 
 
@@ -182,7 +181,7 @@ def alpha_loss_rule(alpha: float) -> ScoringRule:
     return ScoringRule(
         "alpha-loss", "loss", score,
         lambda p: alpha_tilt(Pmf(p), a).probs,
-        proper=False, alpha=a,
+        proper=False,
     )
 
 
@@ -198,5 +197,5 @@ def alpha_score_rule(alpha: float) -> ScoringRule:
     return ScoringRule(
         "alpha-score", "gain", score,
         lambda p: alpha_tilt(Pmf(p), a).probs,
-        proper=False, c_of_g=a / (a - 1.0), alpha=a,
+        proper=False, c_of_g=a / (a - 1.0),
     )

@@ -46,7 +46,6 @@ responses, it returns the -inf sentinel.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +73,10 @@ _CLOSED_FORM_KINDS = {"shannon": "shannon", "arimoto_a1": "arimoto", "arimoto_a2
 #: Floating-point conditions the kernels meet on purpose (log 0, 0 * inf,
 #: overflow to inf); their callers hold one `np.errstate(**_QUIET)`.
 _QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
+
+#: The numeric prior ascent (`_p_numeric`): at most this many rounds per
+#: prior step, each round's step size starting at _NUMERIC_STEP.
+_NUMERIC_ROUNDS, _NUMERIC_STEP = 200, 0.5
 
 
 @dataclass(frozen=True)
@@ -408,26 +411,19 @@ def _step_failed(kind: str, a: float | None, c: np.ndarray, why: str):
     )
 
 
-def p_step_numeric(
-    spec: FunctionalSpec,
-    w: Channel,
-    q: QFamily,
-    p_init: Pmf,
-    iters: int = 200,
-    step: float = 0.5,
-) -> Pmf:
+def p_step_numeric(spec: FunctionalSpec, w: Channel, q: QFamily, p_init: Pmf) -> Pmf:
     """Ascent on the prior by safeguarded exponentiated-gradient steps.
 
     For fixed q the expectation term of G is linear in the prior,
     E = sum_x p(x) c_x(q), so the gradient of p -> G(p, q) has a closed
-    form.  Each round takes it, then halves the step until the objective
-    does not decrease; iteration stops after `iters` rounds or when a
-    round gains less than 1e-12.  The start must be strictly interior;
-    a coordinate may reach 0 along the way and then stays 0.  This is the
-    prior step of the generic kind; for the built-in kinds it is an
-    independent cross-check of `p_step_closed`.  NonFinite if G is still
-    -inf where the ascent ends: every input left has infinite loss, or E
-    lies outside eta's domain.
+    form.  Each round takes it, then halves the step (from _NUMERIC_STEP)
+    until the objective does not decrease; iteration stops after
+    _NUMERIC_ROUNDS rounds or when a round gains less than 1e-12.  The
+    start must be strictly interior; a coordinate may reach 0 along the
+    way and then stays 0.  This is the prior step of the generic kind; for
+    the built-in kinds it is an independent cross-check of
+    `p_step_closed`.  NonFinite if G is still -inf where the ascent ends:
+    every input left has infinite loss, or E lies outside eta's domain.
     """
     if len(p_init) != w.nx:
         raise DimensionMismatch("initial prior and channel input alphabets differ")
@@ -435,38 +431,23 @@ def p_step_numeric(
         raise DimensionMismatch("response family shape must match the channel")
     if np.any(p_init.probs <= 0.0):
         raise DomainError("numeric prior update needs a strictly interior start")
-    _check_numeric_settings(iters, step)
     c = _input_coeffs(spec, w.rows, q.cols)
-    return Pmf(_p_numeric(spec, c, p_init.probs, iters, step))
+    return Pmf(_p_numeric(spec, c, p_init.probs))
 
 
-def _check_numeric_settings(iters: int, step: float) -> None:
-    """Reject ascent settings that would leave the prior where it is, and a
-    round count that is not an integer."""
-    _check_count("numeric ascent rounds per prior step", iters)
-    if not 0.0 < step < math.inf:
-        raise DomainError(f"numeric ascent step must be finite and positive, got {step!r}")
-
-
-def _check_count(what: str, n) -> None:
-    """DomainError unless n is an integer of at least 1."""
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise DomainError(f"{what} must be an integer of at least 1, got {n!r}")
-
-
-def _p_numeric(spec: FunctionalSpec, c: np.ndarray, p, iters: int, step: float) -> np.ndarray:
+def _p_numeric(spec: FunctionalSpec, c: np.ndarray, p, rounds=_NUMERIC_ROUNDS) -> np.ndarray:
     """The prior of `p_step_numeric` on bare arrays, from the coefficients c
-    and any pmf p.  Every accepted trial is p times positive weights (0 where
-    the gradient is -inf) over their sum, so the result passes Pmf's checks
-    and zeros stay 0."""
+    and any pmf p, in at most `rounds` rounds.  Every accepted trial is p
+    times positive weights (0 where the gradient is -inf) over their sum, so
+    the result passes Pmf's checks and zeros stay 0."""
     value, grad = _prior_objective(spec, c)
     f = value(p)
-    for _ in range(iters):
+    for _ in range(rounds):
         g = grad(p)
         top = g.max()
         if not math.isfinite(top):
             break  # no usable direction: every input left is -inf-bad, or E is degenerate
-        size = step
+        size = _NUMERIC_STEP
         cand, f_cand = p, f
         while size >= 1e-12:
             trial = p * np.exp(size * (g - top))

@@ -105,33 +105,6 @@ def test_leakage_refuses_a_missing_or_an_extra_alpha(argv):
     assert b"error: DomainError: --alpha is " in proc.stderr
 
 
-@pytest.mark.parametrize("flag,value", [("--numeric-step", "0"), ("--numeric-step", "-1"),
-                                        ("--numeric-step", "nan"), ("--numeric-iters", "0"),
-                                        ("--numeric-iters", "-5")])
-def test_degenerate_numeric_settings_are_domain_errors(flag, value):
-    # each leaves the prior where it starts, which used to print `converged: true`
-    proc = run_cli(["capacity", "fixtures/asym22.chan", "--measure", "hayashi", "--alpha", "2",
-                    "--algorithm", "numeric", flag, value])
-    assert proc.returncode == 3
-    assert proc.stdout == b""
-    assert b"error: DomainError: numeric ascent" in proc.stderr
-
-
-@pytest.mark.parametrize("argv", [
-    ["--measure", "shannon", "--numeric-iters", "50"],
-    ["--measure", "hayashi", "--alpha", "2", "--numeric-step", "0.25"],
-    ["--measure", "arimoto", "--alpha", "2", "--algorithm", "a1", "--numeric-iters", "50"],
-], ids=["shannon-iters", "hayashi-step", "a1-iters"])
-def test_numeric_settings_need_the_numeric_algorithm(argv):
-    # only the numeric ascent reads them: refused rather than dropped without a word
-    proc = run_cli(["capacity", "fixtures/asym22.chan", *argv])
-    assert proc.returncode == 3
-    assert proc.stdout == b""
-    assert b"is accepted only with --algorithm numeric" in proc.stderr
-    proc = run_cli(["capacity", "fixtures/asym22.chan", *argv, "--algorithm", "numeric"])
-    assert proc.returncode == 0, proc.stderr.decode()
-
-
 def test_arimoto_half_on_named_channel_converges(tmp_path):
     # random-channel 3x3 seed 1 at order 0.5 used to spend the whole
     # 10,000-iteration budget and exit 4

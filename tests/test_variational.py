@@ -67,6 +67,12 @@ def random_family(rng, m, n, floor=1e-3):
     return QFamily(np.column_stack([rand_pmf(rng, m, floor=floor).probs for _ in range(n)]))
 
 
+def _ascent(spec, w, fam, rounds):
+    """p_step_numeric from the uniform prior, run for `rounds` rounds."""
+    c = _input_coeffs(spec, w.rows, fam.cols)
+    return Pmf(_p_numeric(spec, c, uniform(w.nx).probs, rounds))
+
+
 class TestEvalFunctional:
     def test_shannon_at_posterior_is_mi(self, bsc10, uniform2):
         spec = shannon_spec()
@@ -417,9 +423,9 @@ class TestPStepClosed:
             if eval_functional(spec, uniform(m), w, fam) == -math.inf:
                 # E leaves eta's domain at the start: no ascent, a typed error
                 with pytest.raises(NonFinite, match="outside eta's domain"):
-                    p_step_numeric(spec, w, fam, uniform(m), iters=2000)
+                    _ascent(spec, w, fam, 2000)
                 continue
-            numeric = p_step_numeric(spec, w, fam, uniform(m), iters=2000)
+            numeric = _ascent(spec, w, fam, 2000)
             assert eval_functional(spec, numeric, w, fam) <= v_exact + 1e-12
 
     def test_symmetric_channel_uniform_for_root_found_step(self):
@@ -474,7 +480,7 @@ class TestPStepNumeric:
             w = rand_channel(rng, m, n, floor=1e-3)
             fam = random_family(rng, m, n, floor=1e-2)
             closed = p_step_closed(spec, w, fam)
-            numeric = p_step_numeric(spec, w, fam, uniform(m), iters=400)
+            numeric = _ascent(spec, w, fam, 400)
             v_closed = eval_functional(spec, closed, w, fam)
             v_numeric = eval_functional(spec, numeric, w, fam)
             assert v_numeric == pytest.approx(v_closed, abs=1e-6)
@@ -485,7 +491,7 @@ class TestPStepNumeric:
         for _ in range(5):
             w = rand_channel(rng, 2, 2, floor=0.05)
             fam = random_family(rng, 2, 2, floor=0.05)
-            numeric = p_step_numeric(spec, w, fam, uniform(2), iters=600)
+            numeric = _ascent(spec, w, fam, 600)
             ts = np.arange(0.0, 1.0 + 1e-9, 1e-4)
             vals = [
                 eval_functional(spec, make_pmf([t, 1 - t]), w, fam) for t in ts
@@ -565,7 +571,7 @@ class TestPriorGradient:
                           family_off_channel_support(rng, w).cols):
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
-                        out = _p_numeric(spec, _input_coeffs(spec, w.rows, q), p, 200, 0.5)
+                        out = _p_numeric(spec, _input_coeffs(spec, w.rows, q), p)
                     assert out[zero] == 0.0
                     make_pmf(out)  # a valid pmf
                     assert _eval(spec, out, w.rows, q) >= _eval(spec, p, w.rows, q) - 1e-12
@@ -578,7 +584,7 @@ class TestPriorGradient:
         for spec in (shannon_spec(), arimoto_a2_spec(0.5), hayashi_spec(0.5)):
             p = np.full(3, 1.0 / 3.0)
             assert _eval(spec, p, w.rows, q) == -math.inf
-            out = _p_numeric(spec, _input_coeffs(spec, w.rows, q), p, 50, 0.5)
+            out = _p_numeric(spec, _input_coeffs(spec, w.rows, q), p, 50)
             assert out[1] == 0.0
             assert math.isfinite(_eval(spec, out, w.rows, q))
 
