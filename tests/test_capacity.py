@@ -237,6 +237,16 @@ class TestTraceAndConfig:
             with pytest.raises(DomainError):
                 SolverConfig(spec=shannon_spec(), max_iter=bad)
 
+    @pytest.mark.parametrize("name", ["numeric_iters", "numeric_step"])
+    def test_numeric_ascent_takes_no_settings(self, name):
+        # its rounds and step size are module constants of `variational`
+        with pytest.raises(TypeError):
+            SolverConfig(spec=hayashi_spec(2.0), **{name: 1})
+        w = bsc(0.1)
+        q = q_step(hayashi_spec(2.0), uniform(2), w)
+        with pytest.raises(TypeError):
+            p_step_numeric(hayashi_spec(2.0), w, q, uniform(2), **{name.removeprefix("numeric_"): 1})
+
     def test_interior_start_required(self):
         cfg = SolverConfig(spec=shannon_spec(), p0=make_pmf([1.0, 0.0]))
         with pytest.raises(DomainError):
@@ -597,6 +607,12 @@ def _lex_grid(m, steps):
     return np.array(rows, dtype=np.float64) / steps
 
 
+KERNEL_SPECS = [shannon_spec()] + [
+    make(a) for a in (0.5, 2.0, 3.0)
+    for make in (arimoto_a1_spec, arimoto_a2_spec, hayashi_spec)
+] + [fb_spec(2.0), fb_spec(3.0)]
+
+
 class TestOracleGrid:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_matches_lexicographic_reference(self, m):
@@ -632,11 +648,40 @@ class TestOracleGrid:
             tracemalloc.stop()
         assert peak < 40 * 2 ** 20
 
+    @pytest.mark.parametrize("m,ny,resolution", [(2, 3, 1e-4), (2, 4096, 1e-4), (3, 256, 1e-2),
+                                                 (3, 2048, 2e-2), (4, 64, 2e-2)])
+    def test_blocks_stay_within_the_cell_budget(self, monkeypatch, m, ny, resolution):
+        rows = []
 
-KERNEL_SPECS = [shannon_spec()] + [
-    make(a) for a in (0.5, 2.0, 3.0)
-    for make in (arimoto_a1_spec, arimoto_a2_spec, hayashi_spec)
-] + [fb_spec(2.0), fb_spec(3.0)]
+        def recording(m_, steps, chunk_rows):
+            for chunk in _grid_chunks(m_, steps, chunk_rows):
+                rows.append(chunk.shape[0])
+                yield chunk
+
+        monkeypatch.setattr(capacity, "_grid_chunks", recording)
+        w = rand_channel(np.random.default_rng(109), m, ny, floor=0.01)
+        brute_force_search(shannon_spec(), w, resolution)
+        steps = round(1.0 / resolution)
+        assert sum(rows) == math.comb(steps + m - 1, m - 1)
+        assert max(rows) * m * ny <= capacity._BLOCK_CELLS
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS,
+                             ids=lambda s: f"{s.kind}-{s.alpha}" if s.alpha else s.kind)
+    def test_block_size_does_not_change_the_result(self, monkeypatch, spec):
+        # the best point found across many small blocks is the one a single
+        # block over the whole grid finds
+        rng = np.random.default_rng(113)
+        for m, resolution in ((2, 1e-2), (3, 2e-2), (4, 5e-2)):
+            w = rand_channel(rng, m, 5)
+            want_v, want_p = brute_force_search(spec, w, resolution)
+            with monkeypatch.context() as patch:
+                patch.setattr(capacity, "_BLOCK_CELLS", m * 5 * 7)  # 7-row blocks
+                got_v, got_p = brute_force_search(spec, w, resolution)
+            assert got_v == want_v
+            assert np.array_equal(got_p.probs, want_p.probs)
+            if m > 2:  # no golden-section refinement: the best grid point
+                grid = _lex_grid(m, round(1.0 / resolution))
+                assert want_v == pytest.approx(_batch_mi(spec, grid, w.rows).max(), abs=1e-15)
 
 
 class TestBatchMi:

@@ -105,6 +105,17 @@ def test_leakage_refuses_a_missing_or_an_extra_alpha(argv):
     assert b"error: DomainError: --alpha is " in proc.stderr
 
 
+@pytest.mark.parametrize("flag,value", [("--numeric-iters", "50"), ("--numeric-step", "0.25")])
+def test_numeric_ascent_flags_are_usage_errors(flag, value):
+    # the ascent's rounds and step size are fixed: a command line that
+    # still sets them is refused, not run with the flag dropped
+    proc = run_cli(["capacity", "fixtures/asym22.chan", "--measure", "hayashi", "--alpha", "2",
+                    "--algorithm", "numeric", flag, value])
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"unrecognized arguments: " + flag.encode() in proc.stderr
+
+
 def test_arimoto_half_on_named_channel_converges(tmp_path):
     # random-channel 3x3 seed 1 at order 0.5 used to spend the whole
     # 10,000-iteration budget and exit 4
