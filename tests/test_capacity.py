@@ -648,6 +648,17 @@ class TestOracleGrid:
             tracemalloc.stop()
         assert peak < 40 * 2 ** 20
 
+    def test_four_input_oracle_stays_small(self):
+        # 31.2 MiB traced with (|X|, rows, |Y|) blocks of 2^20 cells
+        w = rand_channel(np.random.default_rng(127), 4, 16, floor=0.01)
+        tracemalloc.start()
+        try:
+            brute_force_search(shannon_spec(), w, 1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20
+
     @pytest.mark.parametrize("m,ny,resolution", [(2, 3, 1e-4), (2, 4096, 1e-4), (3, 256, 1e-2),
                                                  (3, 2048, 2e-2), (4, 64, 2e-2)])
     def test_blocks_stay_within_the_cell_budget(self, monkeypatch, m, ny, resolution):
@@ -690,14 +701,29 @@ class TestBatchMi:
     @pytest.mark.parametrize("spec", KERNEL_SPECS,
                              ids=lambda s: f"{s.kind}-{s.alpha}" if s.alpha else s.kind)
     def test_matches_mutual_information_row_by_row(self, spec):
-        rng = np.random.default_rng(83)
-        for w in (zero_mass_column_channel(), rand_channel(rng, 3, 3), rand_channel(rng, 3, 5)):
-            grid = _lex_grid(3, 6)  # has rows with one and with two exact zeros
-            priors = np.vstack([grid, rng.dirichlet(np.ones(3), size=5)])
+        rng, wide = np.random.default_rng(83), np.random.default_rng(137)
+        # with |Y| >= 8 the block sums over the outputs in another order
+        # than the per-prior kernel does
+        for w in (zero_mass_column_channel(), rand_channel(rng, 3, 3), rand_channel(rng, 3, 5),
+                  rand_channel(wide, 3, 16), rand_channel(wide, 4, 9)):
+            # grids with rows that hold one and two exact zeros
+            grid = _lex_grid(w.nx, 6 if w.nx == 3 else 4)
+            priors = np.vstack([grid, rng.dirichlet(np.ones(w.nx), size=5)])
             got = _batch_mi(spec, priors, w.rows)
             for p, value in zip(priors, got):
                 want = mutual_information(spec.pair, make_pmf(p), w).mi
                 assert abs(value - want) <= 1e-12
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS,
+                             ids=lambda s: f"{s.kind}-{s.alpha}" if s.alpha else s.kind)
+    def test_grid_view_gives_the_values_of_a_contiguous_copy(self, spec):
+        # _grid_chunks yields transposed views of an (m, N) grid; the block
+        # must not depend on the priors' memory order
+        w = rand_channel(np.random.default_rng(139), 4, 9)
+        for chunk in _grid_chunks(4, 12, 97):
+            assert not chunk.flags.c_contiguous
+            rows = np.ascontiguousarray(chunk)
+            assert np.array_equal(_batch_mi(spec, chunk, w.rows), _batch_mi(spec, rows, w.rows))
 
     def test_scalar_only_pair_is_unsupported(self):
         w = zero_mass_column_channel()

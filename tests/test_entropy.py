@@ -299,6 +299,23 @@ class TestConstructors:
             grad = row_sign * b * (p ** a).sum() ** (beta - 1.0) * p ** (a - 1.0)
             assert np.array_equal(pair.grad_f(p), grad), pair.name
 
+    @pytest.mark.parametrize("a", (0.3, 0.5, 2.0, 3.0, 5.0))
+    def test_unit_power_core_is_bit_identical_to_the_raised_sum(self, a):
+        # at beta = 1 (Hayashi, and Fehr-Berens at order 2) F is the signed
+        # power sum itself; x ** 1.0 == x, so skipping the power changes no bit
+        rng = np.random.default_rng(131)
+        sign = 1.0 if a < 1.0 else -1.0
+        pairs = [hayashi_pair(a)] + ([fehr_berens_pair(a)] if a == 2.0 else [])
+        for shape in ((6,), (4, 50), (3, 16, 200)):
+            p = rng.dirichlet(np.full(shape[0], 0.5), size=shape[1:]).transpose(
+                (len(shape) - 1,) + tuple(range(len(shape) - 1)))
+            for pair in pairs:
+                assert pair.row[2] == 1.0
+                got = pair.F(p)
+                want = sign * (p ** a).sum(axis=0) ** 1.0
+                assert got.shape == want.shape == shape[1:]
+                assert np.array_equal(got, want), (pair.name, shape)
+
     def test_gradients_match_finite_differences(self):
         # tolerance is relative to the gradient scale; float64 central
         # differences carry ~1e-9 absolute noise, so components near zero
