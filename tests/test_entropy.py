@@ -307,8 +307,7 @@ class TestConstructors:
         sign = 1.0 if a < 1.0 else -1.0
         pairs = [hayashi_pair(a)] + ([fehr_berens_pair(a)] if a == 2.0 else [])
         for shape in ((6,), (4, 50), (3, 16, 200)):
-            p = rng.dirichlet(np.full(shape[0], 0.5), size=shape[1:]).transpose(
-                (len(shape) - 1,) + tuple(range(len(shape) - 1)))
+            p = np.moveaxis(rng.dirichlet(np.full(shape[0], 0.5), size=shape[1:]), -1, 0)
             for pair in pairs:
                 assert pair.row[2] == 1.0
                 got = pair.F(p)
