@@ -4,11 +4,12 @@ The solver alternates exact inner maximization over response families
 with outer maximization over priors, tracking the objective after each
 full round.  The outer step is exact for every built-in measure (a
 closed form for Shannon and Arimoto, a root-found KKT point for Hayashi
-and Fehr-Berens); the generic functional, or a solve with
-`force_numeric`, takes a safeguarded exponentiated-gradient ascent on
-the analytic gradient instead, with a fixed round budget and step size
-and no setting of its own.  Below order 1 that ascent can stop short of
-the capacity while the loop reports convergence.  Each iteration reads
+and Fehr-Berens); only the generic functional takes a safeguarded
+exponentiated-gradient ascent on the analytic gradient instead, with a
+fixed round budget and step size and no setting of its own.  Solving
+`generic_spec(spec.pair)` cross-checks a built-in measure's exact step.
+Below order 1 that ascent can stop short of the capacity while the loop
+reports convergence.  Each iteration reads
 the objective and the coefficients of the next prior step together: for
 an exact step from matrix-vector products at the posterior (the
 Blahut-Arimoto form, `variational._coeff_kernel`), otherwise from one
@@ -29,11 +30,11 @@ It stops when the objective gain drops below the threshold or the
 iteration budget runs out; because the half-steps are maximizations and
 a trial is kept only where it is no worse, the trace can never properly
 decrease -- a decrease beyond 1e-8 is reported as an internal bug.  For
-Shannon and Arimoto the result also carries the dual gap at the returned
-prior, a certified bound on how far the capacity can lie above it.  At
-an extrapolated prior that bound can be looser than at the plain step's
-(8.8e-6 against 1.4e-6 for Shannon on random-channel 64x64 seed 1),
-although the capacity there is no lower.
+the Shannon and Arimoto measures, by either route, the result also
+carries the dual gap at the returned prior, a certified bound on how far
+the capacity can lie above it.  At an extrapolated prior that bound can
+be looser than at the plain step's (8.8e-6 against 1.4e-6 for Shannon on
+random-channel 64x64 seed 1), although the capacity there is no lower.
 
 Inputs are validated at the edges of `solve`: on entry, where the start
 must be strictly interior, and in the Pmf it returns.  In between, the
@@ -92,9 +93,9 @@ class SolverConfig:
     `epsilon` is the absolute objective-gain threshold (must lie in
     (0, 1)); `relative` switches to |gain| / max(1, |value|) as an
     opt-in.  `max_iter` is an integer of at least 1.  Each setting out of
-    range raises DomainError.  Every built-in measure has an exact prior
-    step; `force_numeric` routes it through the numeric ascent instead (an
-    independent cross-check), whose rounds and step size are fixed
+    range raises DomainError.  The spec's kind picks the prior step: the
+    exact one for every built-in kind, the numeric ascent for the generic
+    kind, whose rounds and step size are fixed
     (`variational._NUMERIC_ROUNDS`, `_NUMERIC_STEP`).
     """
 
@@ -102,7 +103,6 @@ class SolverConfig:
     epsilon: float = 1e-10
     max_iter: int = 10000
     p0: Pmf | None = None
-    force_numeric: bool = False
     relative: bool = False
 
     def __post_init__(self):
@@ -142,7 +142,7 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
     if np.any(p_x.probs <= 0.0):
         raise DomainError("initial prior must be strictly positive")
 
-    exact = spec.has_closed_p_step and not cfg.force_numeric
+    exact = spec.has_closed_p_step
     mu = _MU_GROW  # as after a kept trial at mu = 1
     wm = w.rows
     converged = False
@@ -218,10 +218,10 @@ def _dual_radius(spec: FunctionalSpec, w: np.ndarray, p: np.ndarray) -> float | 
     for Arimoto max_x D_a(W_x || Q) with Q proportional to (p^a W^a)^(1/a)
     (Csiszar 1995), the order-a Renyi divergence
     D_a(P || Q) = log(sum_y P^a Q^(1-a)) / (a - 1).  The measure is read
-    from the pair's row; None for the other measures and for the generic
-    kind.  +inf if some input reaches an output Q gives no mass.  The
-    caller holds `np.errstate(**_QUIET)`."""
-    measure = spec.pair.row[0] if spec.has_closed_p_step else None
+    from the pair's row, whatever the kind; None for the other measures and
+    for a custom pair.  +inf if some input reaches an output Q gives no
+    mass.  The caller holds `np.errstate(**_QUIET)`."""
+    measure = spec.pair.row[0] if spec.pair.row else None
     pos = w > 0.0
     if measure == "shannon":
         return float(np.where(pos, w * np.log(w / (p @ w)), 0.0).sum(axis=1).max())

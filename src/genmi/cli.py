@@ -45,6 +45,7 @@ from .variational import (
     arimoto_a1_spec,
     arimoto_a2_spec,
     fb_spec,
+    generic_spec,
     hayashi_spec,
     shannon_spec,
 )
@@ -111,7 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--algorithm", choices=("auto", "a1", "a2", "numeric"), default="auto",
                        help="prior step: auto takes the exact one of the measure (recorded as "
                             "closed, a2 or exact); a1/a2 pick the arimoto form; numeric "
-                            "takes up to 200 gradient-ascent rounds instead, an independent "
+                            "solves the measure's generic functional by up to 200 "
+                            "gradient-ascent rounds per prior step instead, an independent "
                             "cross-check that can stop short below order 1")
     p_cap.add_argument("--trace", metavar="PATH", help="write per-iteration objective values")
     p_cap.add_argument("--bits", action="store_true")
@@ -227,24 +229,27 @@ def _cmd_mi(args) -> int:
 
 
 def _capacity_plan(measure: str, alpha: float | None, algorithm: str):
-    """Resolve --algorithm into (spec, force_numeric, recorded name)."""
+    """Resolve --algorithm into (spec, recorded name).  `numeric` solves the
+    generic functional of the measure's pair, whose prior step is the
+    numeric ascent."""
     make, auto_name = SPECS[measure]
     if algorithm in ("a1", "a2") and measure != "arimoto":
         raise DomainError(f"algorithm {algorithm!r} applies only to the arimoto measure")
     if algorithm == "a1":
         make = arimoto_a1_spec
     spec = _construct(make, alpha, f"the {measure} measure")
-    return spec, algorithm == "numeric", auto_name if algorithm == "auto" else algorithm
+    if algorithm == "numeric":
+        spec = generic_spec(spec.pair)
+    return spec, auto_name if algorithm == "auto" else algorithm
 
 
 def _cmd_capacity(args) -> int:
     chan, _ = parse_channel_file(args.channel)
-    spec, force, algo_name = _capacity_plan(args.measure, args.alpha, args.algorithm)
+    spec, algo_name = _capacity_plan(args.measure, args.alpha, args.algorithm)
     cfg = SolverConfig(
         spec=spec,
         epsilon=args.eps,
         max_iter=args.max_iter,
-        force_numeric=force,
         relative=args.relative_eps,
     )
     result = solve(cfg, chan)

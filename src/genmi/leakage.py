@@ -25,14 +25,13 @@ class LeakageReport:
     """Optimal values without and with the observation, and their gaps.
 
     `additive` is oriented so that more informative channels score higher
-    (gain increase, or risk reduction).  `multiplicative` is present only
-    when the rule declares its constant and the sign check passes.
+    (gain increase, or risk reduction).  The multiplicative leakage is
+    `mevsi_scoring` or `mevsi_matrix`, which raise where it is undefined.
     """
 
     prior_value: float
     posterior_value: float
     additive: float
-    multiplicative: float | None = None
 
 
 def matrix_prior_value(m: GainMatrix, p_x: Pmf) -> float:
@@ -84,25 +83,13 @@ def _scoring_values(rule: ScoringRule, p_x: Pmf, w: Channel):
 
 
 def evsi_scoring(rule: ScoringRule, p_x: Pmf, w: Channel) -> LeakageReport:
-    """Additive value of the observation over the pmf action space.
-
-    The multiplicative field is filled opportunistically when the rule
-    declares its constant and the sign conditions hold; use
-    `mevsi_scoring` to get errors instead of silence.
-    """
-    prior, per_y, post_value = _scoring_values(rule, p_x, w)
+    """Additive value of the observation over the pmf action space."""
+    prior, _, post_value = _scoring_values(rule, p_x, w)
     additive = post_value - prior if rule.kind == "gain" else prior - post_value
-    multiplicative = None
-    if rule.c_of_g is not None:
-        try:
-            multiplicative = _log_ratio(rule.c_of_g, prior, per_y, post_value)
-        except (MixedSign, ZeroDenominator):
-            multiplicative = None
     return LeakageReport(
         prior_value=prior,
         posterior_value=post_value,
         additive=additive,
-        multiplicative=multiplicative,
     )
 
 

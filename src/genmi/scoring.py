@@ -42,7 +42,6 @@ class ScoringRule:
     kind: str  # "gain" or "loss"
     score: Callable[[int, np.ndarray], float]
     responder: Callable[[np.ndarray], np.ndarray]
-    proper: bool
     c_of_g: float | None = None
 
     def __post_init__(self):
@@ -126,14 +125,14 @@ def log_score_rule() -> ScoringRule:
     def score(x: int, q: np.ndarray) -> float:
         return math.log(q[x]) if q[x] > 0.0 else -math.inf
 
-    return ScoringRule("log-score", "gain", score, lambda p: p, proper=True)
+    return ScoringRule("log-score", "gain", score, lambda p: p)
 
 
 def log_loss_rule() -> ScoringRule:
     def score(x: int, q: np.ndarray) -> float:
         return -math.log(q[x]) if q[x] > 0.0 else math.inf
 
-    return ScoringRule("log-loss", "loss", score, lambda p: p, proper=True)
+    return ScoringRule("log-loss", "loss", score, lambda p: p)
 
 
 def pseudo_spherical_rule(alpha: float) -> ScoringRule:
@@ -149,7 +148,7 @@ def pseudo_spherical_rule(alpha: float) -> ScoringRule:
 
     return ScoringRule(
         "pseudo-spherical", "gain", score, lambda p: p,
-        proper=True, c_of_g=a / (a - 1.0),
+        c_of_g=a / (a - 1.0),
     )
 
 
@@ -165,7 +164,7 @@ def power_rule(alpha: float) -> ScoringRule:
 
     return ScoringRule(
         "power", "gain", score, lambda p: p,
-        proper=True, c_of_g=1.0 / (a - 1.0),
+        c_of_g=1.0 / (a - 1.0),
     )
 
 
@@ -181,7 +180,6 @@ def alpha_loss_rule(alpha: float) -> ScoringRule:
     return ScoringRule(
         "alpha-loss", "loss", score,
         lambda p: alpha_tilt(Pmf(p), a).probs,
-        proper=False,
     )
 
 
@@ -197,5 +195,5 @@ def alpha_score_rule(alpha: float) -> ScoringRule:
     return ScoringRule(
         "alpha-score", "gain", score,
         lambda p: alpha_tilt(Pmf(p), a).probs,
-        proper=False, c_of_g=a / (a - 1.0),
+        c_of_g=a / (a - 1.0),
     )

@@ -33,8 +33,8 @@ step is the (tilted) posterior, and the prior step is a function of c --
 a formula for Shannon (Blahut 1972), and for the family, whose G(., q)
 is quasi-concave, the KKT point p(x) proportional to
 (sign c_x + (b-1) t)_+^(1/(a-1)): a scalar root find for t, or none for
-Arimoto, where b = 1 (Arimoto 1972).  The generic kind, and any solve
-that asks for it, takes safeguarded exponentiated-gradient steps
+Arimoto, where b = 1 (Arimoto 1972).  The generic kind, the solver's
+one numeric route, takes safeguarded exponentiated-gradient steps
 instead.
 
 Conventions: a response that puts zero mass where the joint has positive

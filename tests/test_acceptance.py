@@ -236,7 +236,7 @@ def test_criterion_10_numeric_capacity_vs_oracle():
             oracle = brute_force_capacity(spec, w, 1e-3)
             worst = max(worst, abs(result.capacity - oracle))
             assert abs(result.capacity - oracle) <= 1e-3
-    _passed(10, f"numeric-ascent capacities within 1e-3 of the refined oracle "
+    _passed(10, f"exact-step Hayashi/Fehr-Berens capacities within 1e-3 of the refined oracle "
                 f"(worst gap {worst:.2e})")
 
 

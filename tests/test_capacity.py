@@ -1,5 +1,6 @@
 """Alternating-maximization solver and the grid oracle."""
 
+import dataclasses
 import gc
 import itertools
 import math
@@ -17,6 +18,7 @@ from genmi import (
     UnsupportedSpec,
     arimoto_a1_spec,
     arimoto_a2_spec,
+    arimoto_pair,
     brute_force_capacity,
     brute_force_search,
     conditional_entropy,
@@ -24,6 +26,7 @@ from genmi import (
     eval_functional,
     fb_spec,
     generic_spec,
+    hayashi_pair,
     hayashi_spec,
     make_channel,
     make_pmf,
@@ -126,10 +129,7 @@ class TestSolveNumeric:
         rng = np.random.default_rng(47)
         w = rand_channel(rng, 2, 3)
         closed = solve(SolverConfig(spec=shannon_spec(), epsilon=1e-11), w)
-        numeric = solve(
-            SolverConfig(spec=shannon_spec(), epsilon=1e-11, force_numeric=True),
-            w,
-        )
+        numeric = solve(SolverConfig(spec=generic_spec(shannon_pair()), epsilon=1e-11), w)
         assert numeric.capacity == pytest.approx(closed.capacity, abs=1e-6)
 
 
@@ -178,8 +178,9 @@ class TestExactStepReachesOracle:
 
 
 class TestExactStepVsNumeric:
-    """The exact prior step against the independent numeric ascent, at
-    orders where Hayashi and Fehr-Berens differ (at 2 they coincide)."""
+    """The exact prior step against the independent numeric ascent of the
+    generic functional of the same pair, at orders where Hayashi and
+    Fehr-Berens differ (at 2 they coincide)."""
 
     @pytest.mark.parametrize("spec", [hayashi_spec(0.5), hayashi_spec(1.5), hayashi_spec(3.0),
                                       fb_spec(1.5), fb_spec(3.0)],
@@ -189,7 +190,7 @@ class TestExactStepVsNumeric:
         for m in (3, 4):
             w = rand_channel(rng, m, m)
             exact = solve(SolverConfig(spec=spec), w)
-            numeric = solve(SolverConfig(spec=spec, force_numeric=True), w)
+            numeric = solve(SolverConfig(spec=generic_spec(spec.pair)), w)
             assert exact.converged and numeric.converged
             assert exact.capacity >= numeric.capacity - 1e-9
 
@@ -246,6 +247,11 @@ class TestTraceAndConfig:
         q = q_step(hayashi_spec(2.0), uniform(2), w)
         with pytest.raises(TypeError):
             p_step_numeric(hayashi_spec(2.0), w, q, uniform(2), **{name.removeprefix("numeric_"): 1})
+
+    def test_no_setting_picks_the_prior_step(self):
+        # the spec's kind picks it: exact for a built-in kind, numeric for the generic one
+        names = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert names == ["spec", "epsilon", "max_iter", "p0", "relative"]
 
     def test_interior_start_required(self):
         cfg = SolverConfig(spec=shannon_spec(), p0=make_pmf([1.0, 0.0]))
@@ -326,7 +332,7 @@ def _public_loop(cfg, w, accelerated=True):
     extrapolated trial after each prior step, exact or numeric; with
     `accelerated=False`, the plain alternation without trials."""
     spec = cfg.spec
-    exact = spec.has_closed_p_step and not cfg.force_numeric
+    exact = spec.has_closed_p_step
     mu = capacity._MU_GROW
     p = cfg.p0 if cfg.p0 is not None else uniform(w.nx)
     q = q_step(spec, p, w)
@@ -357,8 +363,8 @@ def _public_loop(cfg, w, accelerated=True):
 
 
 class TestSolveMatchesPublicSteps:
-    """solve() against its loop written over the public steps.  A forced
-    numeric solve runs their loss-cell table, so its results are the same
+    """solve() against its loop written over the public steps.  A generic
+    solve runs their loss-cell table, so its results are the same
     bits.  An exact solve reads the coefficients from the matrix-vector
     kernel instead: it must take the same number of iterations and stop
     the same way, with every value within 1e-12."""
@@ -428,8 +434,7 @@ class TestSolveMatchesPublicSteps:
     def test_forced_numeric(self):
         w = rand_channel(np.random.default_rng(71), 2, 3, floor=0.05)
         for spec in (shannon_spec(), arimoto_a2_spec(2.0), hayashi_spec(2.0)):
-            cfg = SolverConfig(spec=spec, max_iter=6, force_numeric=spec.has_closed_p_step)
-            self._assert_same(cfg, w)
+            self._assert_same(SolverConfig(spec=generic_spec(spec.pair), max_iter=6), w)
 
 
 def _named(nx, ny, seed):
@@ -442,18 +447,19 @@ class TestExtrapolatedStep:
     trials): never a lower capacity, in a fraction of the iterations, and
     never an input emptied that the plain step keeps."""
 
-    @pytest.mark.parametrize("spec, shape, seed, force_numeric", [
-        (shannon_spec(), (3, 3), 2, False), (shannon_spec(), (64, 64), 1, False),
-        (arimoto_a2_spec(2.0), (64, 64), 1, False), (arimoto_a2_spec(0.5), (5, 4), 1, False),
-        (hayashi_spec(0.5), (3, 3), 9, False), (hayashi_spec(0.5), (4, 4), 3, False),
-        (arimoto_a1_spec(0.5), (3, 3), 1, True), (hayashi_spec(0.5), (3, 3), 9, True),
-        (generic_spec(shannon_pair()), (3, 3), 2, False),
+    @pytest.mark.parametrize("spec, shape, seed", [
+        (shannon_spec(), (3, 3), 2), (shannon_spec(), (64, 64), 1),
+        (arimoto_a2_spec(2.0), (64, 64), 1), (arimoto_a2_spec(0.5), (5, 4), 1),
+        (hayashi_spec(0.5), (3, 3), 9), (hayashi_spec(0.5), (4, 4), 3),
+        (generic_spec(arimoto_pair(0.5)), (3, 3), 1),
+        (generic_spec(hayashi_pair(0.5)), (3, 3), 9),
+        (generic_spec(shannon_pair()), (3, 3), 2),
     ], ids=["shannon-3x3", "shannon-64x64", "a2(2)-64x64", "a2(0.5)-5x4",
-            "hayashi(0.5)-3x3", "hayashi(0.5)-4x4", "numeric-a1(0.5)-3x3",
+            "hayashi(0.5)-3x3", "hayashi(0.5)-4x4", "numeric-arimoto(0.5)-3x3",
             "numeric-hayashi(0.5)-3x3", "generic-shannon-3x3"])
-    def test_never_loses_to_the_plain_step(self, spec, shape, seed, force_numeric):
+    def test_never_loses_to_the_plain_step(self, spec, shape, seed):
         w = _named(*shape, seed)
-        cfg = SolverConfig(spec=spec, force_numeric=force_numeric)
+        cfg = SolverConfig(spec=spec)
         got = solve(cfg, w)
         trace, _, converged = _public_loop(cfg, w, accelerated=False)
         assert got.converged and converged
@@ -487,14 +493,12 @@ class TestExtrapolatedStep:
 
         extrapolated = capacity._extrapolated
         monkeypatch.setattr(capacity, "_extrapolated", spy)
-        for spec, force_numeric in (
-                (shannon_spec(), False), (arimoto_a1_spec(0.5), False),
-                (arimoto_a2_spec(0.5), False), (arimoto_a2_spec(2.0), False),
-                (hayashi_spec(0.5), False), (hayashi_spec(3.0), False), (fb_spec(1.5), False),
-                (arimoto_a2_spec(2.0), True), (hayashi_spec(0.5), True),
-                (generic_spec(shannon_pair()), False)):
-            cfg = SolverConfig(spec=spec, epsilon=1e-12, max_iter=5000,
-                               force_numeric=force_numeric)
+        for spec in (
+                shannon_spec(), arimoto_a1_spec(0.5), arimoto_a2_spec(0.5),
+                arimoto_a2_spec(2.0), hayashi_spec(0.5), hayashi_spec(3.0), fb_spec(1.5),
+                generic_spec(arimoto_pair(2.0)), generic_spec(hayashi_pair(0.5)),
+                generic_spec(shannon_pair())):
+            cfg = SolverConfig(spec=spec, epsilon=1e-12, max_iter=5000)
             trials.clear()
             got = solve(cfg, w)
             assert trials
@@ -522,8 +526,9 @@ class TestExtrapolatedStep:
 
 
 class TestExactSolveSkipsTheTable:
-    """An exact solve reads c from the matrix-vector kernel; only a forced
-    numeric solve (or the generic kind) builds the loss-cell table."""
+    """An exact solve reads c from the matrix-vector kernel; only a solve
+    of the generic kind, whose prior step is the numeric ascent, builds
+    the loss-cell table."""
 
     SPECS = (shannon_spec(), arimoto_a1_spec(0.5), arimoto_a2_spec(2.0),
              hayashi_spec(0.5), hayashi_spec(2.0), fb_spec(3.0))
@@ -541,11 +546,11 @@ class TestExactSolveSkipsTheTable:
         for spec in self.SPECS:
             assert solve(SolverConfig(spec=spec, max_iter=500), w).iterations > 1
 
-    def test_forced_numeric_builds_it(self):
+    def test_generic_kind_builds_it(self):
         w = rand_channel(np.random.default_rng(97), 4, 3)
         for spec in self.SPECS:
             with pytest.raises(AssertionError, match="loss-cell table built"):
-                solve(SolverConfig(spec=spec, max_iter=5, force_numeric=True), w)
+                solve(SolverConfig(spec=generic_spec(spec.pair), max_iter=5), w)
 
 
 def _shannon_radius(p, rows):
@@ -583,7 +588,7 @@ class TestDualGap:
             w = rand_channel(rng, m, n)
             for cfg in (SolverConfig(spec=spec, max_iter=3),
                         SolverConfig(spec=spec, epsilon=1e-12, max_iter=3000),
-                        SolverConfig(spec=spec, max_iter=3, force_numeric=True)):
+                        SolverConfig(spec=generic_spec(spec.pair), max_iter=3)):
                 got = solve(cfg, w)
                 p = got.argmax_p.probs
                 radius = _shannon_radius(p, w.rows) if a is None else _arimoto_radius(p, w.rows, a)
@@ -595,8 +600,10 @@ class TestDualGap:
         assert abs(got.gap) <= 1e-13
 
     def test_no_bound_for_the_other_kinds(self):
+        # a custom pair has no row, so no measure to read a bound for
         w = rand_channel(np.random.default_rng(103), 3, 3)
-        for spec in (hayashi_spec(2.0), fb_spec(2.0), generic_spec(shannon_pair())):
+        custom = dataclasses.replace(shannon_pair())
+        for spec in (hayashi_spec(2.0), fb_spec(2.0), generic_spec(custom)):
             assert solve(SolverConfig(spec=spec, max_iter=20), w).gap is None
 
 

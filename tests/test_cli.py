@@ -4,6 +4,7 @@ import pytest
 
 import gen_goldens
 from cli_cases import CASES, HERE, TRACE_CASE, run_cli
+from genmi.cli import _capacity_plan
 
 
 @pytest.mark.parametrize("name,argv,expected", CASES, ids=[c[0] for c in CASES])
@@ -71,6 +72,17 @@ def test_auto_algorithm_choices_recorded():
         proc = run_cli(argv)
         assert proc.returncode == 0, proc.stderr.decode()
         assert expected in proc.stdout
+
+
+@pytest.mark.parametrize("measure,alpha", [
+    ("shannon", None), ("arimoto", 0.5), ("hayashi", 0.5), ("fehr-berens", 3.0),
+])
+def test_numeric_algorithm_is_the_generic_functional(measure, alpha):
+    # the numeric prior step is the generic kind's, on the measure's own pair
+    spec, name = _capacity_plan(measure, alpha, "numeric")
+    auto, _ = _capacity_plan(measure, alpha, "auto")
+    assert (spec.kind, name) == ("generic", "numeric")
+    assert spec.pair.row == auto.pair.row and spec.alpha == alpha
 
 
 def test_algorithm_measure_mismatch_is_domain_error():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from genmi import (
+    DimensionMismatch,
+    DomainError,
     GainMatrix,
     MixedSign,
     ScoringRule,
@@ -98,6 +100,12 @@ class TestEvsiMatrix:
             m = GainMatrix(rng.normal(size=(3, 4)))
             assert evsi(m, p, w).additive >= -1e-9
 
+    @pytest.mark.parametrize("value", [evsi, bayes_value, mevsi_matrix],
+                             ids=lambda f: f.__name__)
+    def test_row_count_must_match_the_prior(self, value, bsc10, uniform2):
+        with pytest.raises(DimensionMismatch, match="gain matrix rows must match"):
+            value(identity_gain(3), uniform2, bsc10)
+
 
 class TestEvsiScoring:
     def test_log_rule_equals_shannon_mi(self):
@@ -159,14 +167,14 @@ class TestMevsi:
         shifted = ScoringRule(
             "shifted", "gain",
             lambda x, q: q[x] - 0.6,  # negative at the prior, positive at posteriors
-            lambda p: p, proper=False, c_of_g=1.0,
+            lambda p: p, c_of_g=1.0,
         )
         with pytest.raises(MixedSign):
             mevsi_scoring(shifted, uniform2, bsc10)
 
     def test_zero_denominator_rejected(self, bsc10, uniform2):
         null_rule = ScoringRule(
-            "null", "gain", lambda x, q: 0.0, lambda p: p, proper=False, c_of_g=1.0
+            "null", "gain", lambda x, q: 0.0, lambda p: p, c_of_g=1.0
         )
         with pytest.raises(ZeroDenominator):
             mevsi_scoring(null_rule, uniform2, bsc10)
@@ -179,11 +187,11 @@ class TestMevsi:
         with pytest.raises(MixedSign):
             mevsi_matrix(GainMatrix([[1.0, -1.0], [0.0, 1.0]]), uniform2, bsc10)
 
-    def test_report_carries_multiplicative_when_defined(self, bsc10, uniform2):
-        report = evsi_scoring(alpha_score_rule(2.0), uniform2, bsc10)
-        assert report.multiplicative == pytest.approx(arimoto_mi(2.0, uniform2, bsc10), abs=1e-10)
-        log_report = evsi_scoring(log_score_rule(), uniform2, bsc10)
-        assert log_report.multiplicative is None
+    def test_multiplicative_only_where_the_rule_declares_its_constant(self, bsc10, uniform2):
+        got = mevsi_scoring(alpha_score_rule(2.0), uniform2, bsc10)
+        assert got == pytest.approx(arimoto_mi(2.0, uniform2, bsc10), abs=1e-10)
+        with pytest.raises(DomainError, match="declares no multiplicative constant"):
+            mevsi_scoring(log_score_rule(), uniform2, bsc10)
 
 
 class TestDataProcessing:

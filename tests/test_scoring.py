@@ -191,7 +191,7 @@ class TestProperness:
             scaled_rule = ScoringRule(
                 "scaled", "gain",
                 lambda x, q: 3.7 * base.score(x, q) + 11.0,
-                base.responder, proper=True,
+                base.responder,
             )
             scaled = [expected_score(scaled_rule, p, q) for q in candidates]
             assert int(np.argmax(scores)) == int(np.argmax(scaled))
@@ -202,7 +202,7 @@ class TestProperness:
         flipped = ScoringRule(
             "flipped", "gain",
             lambda x, q: -2.0 * loss.score(x, q) + 1.0,
-            loss.responder, proper=False,
+            loss.responder,
         )
         for _ in range(50):
             p = rand_pmf(rng, 3, floor=1e-3)
@@ -353,8 +353,6 @@ class TestCatalog:
         assert rules["power"].c_of_g == pytest.approx(1.0)
         assert rules["log-score"].c_of_g is None
         assert rules["alpha-loss"].kind == "loss"
-        assert not rules["alpha-loss"].proper
-        assert rules["power"].proper
 
     def test_bad_alpha(self):
         for ctor in (pseudo_spherical_rule, power_rule, alpha_loss_rule, alpha_score_rule):
