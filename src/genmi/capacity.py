@@ -47,6 +47,9 @@ The oracle maximizes the mutual information itself over a simplex grid
 (with golden-section refinement for binary inputs).  It shares only the
 entropy kernel -- the measure's F and eta -- and touches none of the
 functional or update code, so it catches errors anywhere in that chain.
+It streams the grid in blocks of _BLOCK_CELLS cells and never builds it
+whole, so its memory stays a few MB for any number of inputs; the only
+limit on its size is MAX_GRID_POINTS, a bound on its time.
 """
 
 from __future__ import annotations
@@ -70,12 +73,14 @@ from .variational import (
     _table_coeffs,
 )
 
-#: Largest simplex grid the oracle will enumerate.
+#: Largest simplex grid the oracle will enumerate: a bound on its time,
+#: since its memory does not grow with the grid (a few seconds at m = 5).
 MAX_GRID_POINTS = 20_000_000
 #: Cells (grid points x |X| x |Y|) in one oracle block, so that the
 #: (|X|, |Y|, rows) posterior block of `_batch_mi` and its temporaries
-#: stay a few 0.5 MB arrays whatever the channel's size.  On the bench's
-#: oracle grids blocks of 2^14 or 2^20 cells run ~25 % slower.
+#: stay a few 0.5 MB arrays whatever the channel's or the grid's size:
+#: the grid itself is built one block at a time (`_grid_chunks`).  On the
+#: bench's oracle grids blocks of 2^14 or 2^20 cells run ~25 % slower.
 _BLOCK_CELLS = 2 ** 16
 
 #: The exponent mu of the extrapolated trial after each prior step: it
@@ -264,11 +269,10 @@ def brute_force_search(
     evaluates the measure's mutual information at each (a block of grid
     points at a time through the measure's own F and eta, never through
     the functional), and for binary inputs refines the best grid cell by
-    golden-section search.
+    golden-section search.  Any number of inputs is accepted; TooLarge if
+    the grid has more than MAX_GRID_POINTS points.
     """
     m = w.nx
-    if m > 4:
-        raise TooLarge(f"oracle handles at most 4 input symbols, got {m}")
     if not 1e-4 <= resolution <= 1e-1:
         raise DomainError(f"resolution must lie in [1e-4, 1e-1], got {resolution!r}")
 
@@ -281,8 +285,13 @@ def brute_force_search(
 
     best_val = -math.inf
     best_p: np.ndarray | None = None
-    for chunk in _grid_chunks(m, steps, chunk_rows=max(1, _BLOCK_CELLS // (m * w.ny))):
-        vals = _batch_mi(spec, chunk, w.rows)
+    chunk_rows = max(1, _BLOCK_CELLS // (m * w.ny))
+    # one workspace for every block's posterior columns: with a fresh one
+    # per block, glibc's malloc gave the heap back after each block and
+    # faulted it in again, ~1.5x slower on the bench's oracle grids
+    work = np.empty(m * w.ny * chunk_rows)
+    for chunk in _grid_chunks(m, steps, chunk_rows):
+        vals = _batch_mi(spec, chunk, w.rows, work)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val = float(vals[i])
@@ -307,38 +316,76 @@ def brute_force_search(
 def _grid_chunks(m: int, steps: int, chunk_rows: int):
     """Yield blocks of simplex grid points (rows sum to 1) in lexicographic order.
 
-    Each of the first m-1 coordinates splits every row into one per count
-    0..rest (stars and bars); the last coordinate takes what is left.  The
-    grid is built as one (m, N) array and each block is the (rows, m)
-    transpose of a slice of it, so `_batch_mi` reads every coordinate of
-    its priors as one contiguous run.
+    Every block but the last holds exactly chunk_rows points.  The grid is
+    never built whole: the blocks are filled from the runs of `_grid_runs`,
+    so the memory is O(m (chunk_rows + steps)) whatever the grid's size.
+    Each block is the (rows, m) transpose of a fresh (m, rows) array, so
+    `_batch_mi` reads every coordinate of its priors as one contiguous run.
     """
-    rest = np.array([steps])
-    cols: list[np.ndarray] = []
-    for _ in range(m - 1):
-        counts = rest + 1
-        k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        cols = [np.repeat(c, counts) for c in cols] + [k]
-        rest = np.repeat(rest, counts) - k
-    grid = np.vstack(cols + [rest]).astype(np.float64) / steps  # (m, N)
-    for i in range(0, grid.shape[1], chunk_rows):
-        yield grid[:, i : i + chunk_rows].T
+    left = math.comb(steps + m - 1, m - 1)
+    block, filled = np.empty((m, min(chunk_rows, left))), 0
+    for run in _grid_runs(m, steps, chunk_rows):
+        done = 0
+        while done < run.shape[1]:
+            take = min(run.shape[1] - done, block.shape[1] - filled)
+            block[:, filled : filled + take] = run[:, done : done + take]
+            done += take
+            filled += take
+            if filled == block.shape[1]:
+                block /= steps
+                yield block.T
+                left -= filled
+                block, filled = np.empty((m, min(chunk_rows, left))), 0
 
 
-def _batch_mi(spec: FunctionalSpec, priors: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _grid_runs(m: int, steps: int, rows: int):
+    """Yield the grid's points as counts summing to `steps`, in lexicographic
+    order, as (m, n) integer runs of fewer than rows + steps + 1 points.
+
+    Each point (k_1, ..., k_{m-2}, r) of the grid one dimension down is a
+    line of r + 1 points here, (k_1, ..., k_{m-2}, k, r - k) for k = 0..r
+    (stars and bars).  The lines are expanded together, in one group per
+    block of `rows` points that their first points fall in.
+    """
+    if m == 1:
+        yield np.array([[steps]])
+        return
+    start = 0
+    for lines in _grid_runs(m - 1, steps, rows):
+        counts = lines[-1] + 1
+        firsts = start + np.cumsum(counts) - counts
+        start = int(firsts[-1] + counts[-1])
+        cuts = np.flatnonzero(np.diff(firsts // rows)) + 1
+        for group in np.split(lines, cuts, axis=1):
+            counts = group[-1] + 1
+            rep = np.repeat(group, counts, axis=1)
+            k = np.arange(rep.shape[1]) - np.repeat(np.cumsum(counts) - counts, counts)
+            run = np.empty((m, rep.shape[1]), dtype=rep.dtype)
+            run[:-2] = rep[:-1]
+            run[-2] = k
+            np.subtract(rep[-1], k, out=run[-1])
+            yield run
+
+
+def _batch_mi(
+    spec: FunctionalSpec, priors: np.ndarray, w: np.ndarray, work: np.ndarray | None = None
+) -> np.ndarray:
     """Mutual information of the spec's measure at a batch of priors (rows).
 
     eta(F(p)) - eta(sum_y p_Y(y) F(p_{X|Y=y})) for every row at once: the
     pair's F reduces over axis 0, so the priors go in transposed and the
     posterior columns as one (|X|, |Y|, N) block, the N priors on the last,
     contiguous axis so that every elementwise pass runs long inner loops
-    however few the outputs; outputs with no mass get no weight.
-    UnsupportedSpec if the pair is not batched.
+    however few the outputs; outputs with no mass get no weight.  The
+    block is written into `work`, a flat array of at least |X| |Y| N
+    floats, where given.  UnsupportedSpec if the pair is not batched.
     """
     pair = spec.pair
     p_t = priors.T  # (nx, N)
     p_y = w.T @ p_t  # (ny, N)
-    cols = p_t[:, None, :] * w[:, :, None]  # (nx, ny, N)
+    shape = w.shape + p_t.shape[1:]
+    out = None if work is None else work[: math.prod(shape)].reshape(shape)
+    cols = np.multiply(p_t[:, None, :], w[:, :, None], out=out)  # (nx, ny, N)
     cols /= np.where(p_y > 0.0, p_y, 1.0)  # posterior columns, 0 where p_y = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         avg = np.where(p_y > 0.0, p_y * _core_values(pair, cols), 0.0).sum(axis=0)

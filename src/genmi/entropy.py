@@ -87,7 +87,13 @@ class MiReport:
 
 
 def _shannon_core(p: np.ndarray):
-    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=0)
+    # one full-size temporary, not three: the oracle calls this on
+    # 0.5 MB posterior blocks, and each freed one can make glibc's malloc
+    # give the heap back and fault it in again on the next block
+    terms = np.where(p > 0.0, p, 1.0)
+    np.log(terms, out=terms)
+    terms *= p
+    return -terms.sum(axis=0)
 
 
 def _built_in(pair: EntropyPair, *row) -> EntropyPair:

@@ -293,9 +293,10 @@ class TestOracle:
         assert val == pytest.approx(math.log(2) - binary_entropy(0.25), abs=1e-8)
 
     def test_size_and_resolution_guards(self):
-        w5 = make_channel(np.full((5, 2), 0.5))
+        # C(106, 6) ~ 1.6e9 grid points: the grid size is the only limit
+        w7 = make_channel(np.full((7, 2), 0.5))
         with pytest.raises(TooLarge):
-            brute_force_capacity(shannon_spec(), w5, 1e-2)
+            brute_force_capacity(shannon_spec(), w7, 1e-2)
         with pytest.raises(DomainError):
             brute_force_capacity(shannon_spec(), bsc(0.1), 1e-5)
         with pytest.raises(DomainError):
@@ -311,6 +312,16 @@ class TestOracle:
         val = brute_force_capacity(shannon_spec(), w, 1e-2)
         sol = solve(SolverConfig(spec=shannon_spec(), epsilon=1e-12), w)
         assert val == pytest.approx(sol.capacity, abs=1e-4)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_five_inputs_stay_below_the_certified_bound(self, seed):
+        # a grid value is attained at a real prior, so it cannot pass the
+        # dual bound capacity + gap; on these channels it ends 1e-5 to
+        # 5.4e-5 below the capacity
+        w, _ = parse_channel_text(random_channel_text(5, 5, seed))
+        val = brute_force_capacity(shannon_spec(), w, 0.05)
+        sol = solve(SolverConfig(spec=shannon_spec()), w)
+        assert sol.capacity - 1e-3 < val <= sol.capacity + sol.gap
 
 
 def _extrapolated_ref(p, t, mu):
@@ -607,6 +618,20 @@ class TestDualGap:
             assert solve(SolverConfig(spec=spec, max_iter=20), w).gap is None
 
 
+#: Traced peak the oracle stays under, whatever the size of its grid.
+ORACLE_PEAK = 4 * 2 ** 20
+
+
+def _traced_peak(fn):
+    """Peak bytes tracemalloc sees while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _lex_grid(m, steps):
     """Simplex grid rows in lexicographic order, built with itertools."""
     rows = [ks + (steps - sum(ks),)
@@ -627,6 +652,18 @@ class TestOracleGrid:
             want = _lex_grid(m, steps)
             n = want.shape[0]
             for chunk_rows in (1, 4, 7, n - 1, n, 250_000):
+                chunks = list(_grid_chunks(m, steps, chunk_rows))
+                assert [c.shape[0] for c in chunks] == [
+                    min(chunk_rows, n - i) for i in range(0, n, chunk_rows)
+                ]
+                assert np.array_equal(np.vstack(chunks), want)
+
+    @pytest.mark.parametrize("m", [1, 5, 6])
+    def test_streams_any_number_of_inputs(self, m):
+        for steps in (1, 2, 5, 9):
+            want = _lex_grid(m, steps)
+            n = want.shape[0]
+            for chunk_rows in (1, 3, 10, 64, n):
                 chunks = list(_grid_chunks(m, steps, chunk_rows))
                 assert [c.shape[0] for c in chunks] == [
                     min(chunk_rows, n - i) for i in range(0, n, chunk_rows)
@@ -656,15 +693,18 @@ class TestOracleGrid:
         assert peak < 40 * 2 ** 20
 
     def test_four_input_oracle_stays_small(self):
-        # 31.2 MiB traced with (|X|, rows, |Y|) blocks of 2^20 cells
+        # 31.2 MiB traced with (|X|, rows, |Y|) blocks of 2^20 cells, and
+        # 16.2 MiB with 2^16-cell blocks of a grid built whole
         w = rand_channel(np.random.default_rng(127), 4, 16, floor=0.01)
-        tracemalloc.start()
-        try:
-            brute_force_search(shannon_spec(), w, 1e-2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 24 * 2 ** 20
+        assert _traced_peak(lambda: brute_force_search(shannon_spec(), w, 1e-2)) < ORACLE_PEAK
+
+    @pytest.mark.parametrize("m,resolution", [(4, 5e-3), (5, 2e-2)])
+    def test_oracle_memory_does_not_grow_with_the_grid(self, m, resolution):
+        # 1.37M and 316k grid points; with the grid built whole the 4-input
+        # search peaked at 125.9 MiB traced
+        w = rand_channel(np.random.default_rng(131), m, m, floor=0.01)
+        peak = _traced_peak(lambda: brute_force_search(shannon_spec(), w, resolution))
+        assert peak < ORACLE_PEAK
 
     @pytest.mark.parametrize("m,ny,resolution", [(2, 3, 1e-4), (2, 4096, 1e-4), (3, 256, 1e-2),
                                                  (3, 2048, 2e-2), (4, 64, 2e-2)])
@@ -731,6 +771,17 @@ class TestBatchMi:
             assert not chunk.flags.c_contiguous
             rows = np.ascontiguousarray(chunk)
             assert np.array_equal(_batch_mi(spec, chunk, w.rows), _batch_mi(spec, rows, w.rows))
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS,
+                             ids=lambda s: f"{s.kind}-{s.alpha}" if s.alpha else s.kind)
+    def test_workspace_gives_the_values_of_a_fresh_block(self, spec):
+        # the workspace is larger than the block and holds the last block's
+        # columns, as in the oracle's final, shorter block
+        w = rand_channel(np.random.default_rng(149), 4, 9)
+        work = np.full(4 * 9 * 120, np.nan)
+        for chunk in _grid_chunks(4, 12, 97):
+            got = _batch_mi(spec, chunk, w.rows, work)
+            assert np.array_equal(got, _batch_mi(spec, chunk, w.rows))
 
     def test_scalar_only_pair_is_unsupported(self):
         w = zero_mass_column_channel()
