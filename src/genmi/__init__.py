@@ -5,24 +5,18 @@ __version__ = "0.1.0"
 from .capacity import (
     SolveResult,
     SolverConfig,
-    brute_force_capacity,
     brute_force_search,
-    convergence_trace,
     solve,
 )
 from .entropy import (
     EntropyPair,
     MiReport,
-    arimoto_mi,
     arimoto_pair,
     conditional_entropy,
     entropy,
-    fehr_berens_mi,
     fehr_berens_pair,
-    hayashi_mi,
     hayashi_pair,
     mutual_information,
-    shannon_mi,
     shannon_pair,
 )
 from .errors import (
@@ -42,10 +36,8 @@ from .errors import (
 )
 from .leakage import (
     LeakageReport,
-    bayes_value,
     evsi,
     evsi_scoring,
-    matrix_prior_value,
     mevsi_matrix,
     mevsi_scoring,
 )

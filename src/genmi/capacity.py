@@ -222,10 +222,11 @@ def _dual_radius(spec: FunctionalSpec, w: np.ndarray, p: np.ndarray) -> float | 
     bound is known: max_x D(W_x || pW) for Shannon (Arimoto 1972), and
     for Arimoto max_x D_a(W_x || Q) with Q proportional to (p^a W^a)^(1/a)
     (Csiszar 1995), the order-a Renyi divergence
-    D_a(P || Q) = log(sum_y P^a Q^(1-a)) / (a - 1).  The measure is read
-    from the pair's row, whatever the kind; None for the other measures and
-    for a custom pair.  +inf if some input reaches an output Q gives no
-    mass.  The caller holds `np.errstate(**_QUIET)`."""
+    D_a(P || Q) = log(sum_y P^a Q^(1-a)) / (a - 1).  Q is formed from each
+    joint column over its largest cell, so that it cannot underflow to 0/0.
+    The measure is read from the pair's row, whatever the kind; None for
+    the other measures and for a custom pair.  +inf if some input reaches
+    an output Q gives no mass.  The caller holds `np.errstate(**_QUIET)`."""
     measure = spec.pair.row[0] if spec.pair.row else None
     pos = w > 0.0
     if measure == "shannon":
@@ -233,31 +234,18 @@ def _dual_radius(spec: FunctionalSpec, w: np.ndarray, p: np.ndarray) -> float | 
     if measure != "arimoto":
         return None
     a = spec.alpha
-    q = (p ** a @ w ** a) ** (1.0 / a)
+    joint = p[:, None] * w
+    top = joint.max(axis=0)
+    top = np.where(top > 0.0, top, 1.0)
+    q = top * ((joint / top) ** a).sum(axis=0) ** (1.0 / a)
     q = q / q.sum()
     terms = np.where(pos, w ** a * q ** (1.0 - a), 0.0).sum(axis=1)
     return float((np.log(terms) / (a - 1.0)).max())
 
 
-def convergence_trace(result: SolveResult) -> list[tuple[int, float, float | None]]:
-    """Rows (k, objective, gain) for export; the first gain is undefined."""
-    rows: list[tuple[int, float, float | None]] = []
-    prev: float | None = None
-    for k, value in enumerate(result.trace):
-        rows.append((k, value, None if prev is None else value - prev))
-        prev = value
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Brute-force oracle
 # ---------------------------------------------------------------------------
-
-
-def brute_force_capacity(spec: FunctionalSpec, w: Channel, resolution: float) -> float:
-    """Grid-search maximum of the mutual information over priors."""
-    value, _ = brute_force_search(spec, w, resolution)
-    return value
 
 
 def brute_force_search(

@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import __version__
-from .capacity import SolverConfig, brute_force_search, convergence_trace, solve
+from .capacity import SolverConfig, brute_force_search, solve
 from .entropy import mutual_information
 from .errors import DomainError, GenmiError, ParseError
 from .io import (
@@ -257,8 +257,8 @@ def _cmd_capacity(args) -> int:
 
     if args.trace:
         rows = ["k\tF\tdeltaF"]
-        for k, value, delta in convergence_trace(result):
-            tail = "" if delta is None else format_float(delta * scale)
+        for k, value in enumerate(result.trace):  # the first gain is undefined: left empty
+            tail = format_float((value - result.trace[k - 1]) * scale) if k else ""
             rows.append(f"{k}\t{format_float(value * scale)}\t{tail}")
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")

@@ -213,18 +213,3 @@ def _batched(pair: EntropyPair, name: str, fn, arg: np.ndarray, shape) -> np.nda
         )
     return out
 
-
-def shannon_mi(p_x: Pmf, w: Channel) -> float:
-    return mutual_information(shannon_pair(), p_x, w).mi
-
-
-def arimoto_mi(alpha: float, p_x: Pmf, w: Channel) -> float:
-    return mutual_information(arimoto_pair(alpha), p_x, w).mi
-
-
-def hayashi_mi(alpha: float, p_x: Pmf, w: Channel) -> float:
-    return mutual_information(hayashi_pair(alpha), p_x, w).mi
-
-
-def fehr_berens_mi(alpha: float, p_x: Pmf, w: Channel) -> float:
-    return mutual_information(fehr_berens_pair(alpha), p_x, w).mi

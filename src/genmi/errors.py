@@ -43,8 +43,9 @@ class ZeroDenominator(GenmiError):
 
 
 class UnsupportedSpec(GenmiError):
-    """The requested closed-form update does not exist for this functional,
-    or an entropy pair's F or eta cannot be evaluated on arrays."""
+    """The functional has no such prior update, a built-in kind is given
+    another measure's pair, or an entropy pair's F or eta cannot be
+    evaluated on arrays."""
 
 
 class TooLarge(GenmiError):

@@ -34,23 +34,6 @@ class LeakageReport:
     additive: float
 
 
-def matrix_prior_value(m: GainMatrix, p_x: Pmf) -> float:
-    """Optimal expected gain (or minimal expected loss) ignoring the output."""
-    if m.nx != len(p_x):
-        raise DimensionMismatch("gain matrix rows must match the prior alphabet")
-    return float(_best(m, p_x.probs @ m.values))
-
-
-def bayes_value(m: GainMatrix, p_x: Pmf, w: Channel) -> float:
-    """Optimal expected value when acting on the channel output.
-
-    For each supported output the best action is chosen against the
-    posterior column, all columns at once, and the optima are averaged
-    over the output marginal.
-    """
-    return _matrix_values(m, p_x, w)[2]
-
-
 def evsi(m: GainMatrix, p_x: Pmf, w: Channel) -> LeakageReport:
     """Additive value of observing the output, for a finite action set."""
     prior, _, post = _matrix_values(m, p_x, w)
@@ -65,7 +48,9 @@ def _best(m: GainMatrix, per_action: np.ndarray):
 
 def _matrix_values(m: GainMatrix, p_x: Pmf, w: Channel):
     """Prior optimum, per-output optima and their average, for a finite action set."""
-    prior = matrix_prior_value(m, p_x)
+    if m.nx != len(p_x):
+        raise DimensionMismatch("gain matrix rows must match the prior alphabet")
+    prior = float(_best(m, p_x.probs @ m.values))
     post = posterior(p_x, w)
     per_y = _best(m, post.cols.T @ m.values)
     return prior, per_y, float(post.p_y[post.support] @ per_y)

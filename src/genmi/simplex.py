@@ -89,14 +89,6 @@ class Channel:
     def ny(self) -> int:
         return self.rows.shape[1]
 
-    def compose(self, other: "Channel") -> "Channel":
-        """Cascade: the X -> Z channel obtained by feeding Y into `other`."""
-        if self.ny != other.nx:
-            raise DimensionMismatch(
-                f"cannot compose {self.ny}-output channel with {other.nx}-input channel"
-            )
-        return Channel(self.rows @ other.rows)
-
 
 @dataclass(frozen=True)
 class Posterior:

@@ -252,8 +252,12 @@ def q_step(spec: FunctionalSpec, p_x: Pmf, w: Channel) -> QFamily:
 def _q_cols(kind: str, a: float | None, p: np.ndarray, joint: np.ndarray) -> np.ndarray:
     """Columns of `q_step` on bare arrays, from the prior and the joint
     p(x) w(y|x).  For a pmf p, each column is a non-negative column over its
-    own sum, or p, so it passes QFamily's checks."""
-    cells = joint ** a if kind == "arimoto_a1" else joint
+    own sum, or p, so it passes QFamily's checks.  A tilted column is taken
+    over its largest cell before the power, so that it cannot underflow to 0."""
+    cells = joint
+    if kind == "arimoto_a1":
+        top = joint.max(axis=0)
+        cells = (joint / np.where(top > 0.0, top, 1.0)) ** a
     col_mass = cells.sum(axis=0)
     has_mass = col_mass > 0.0
     return np.where(has_mass, cells / np.where(has_mass, col_mass, 1.0), p[:, None])
@@ -420,11 +424,13 @@ def p_step_numeric(spec: FunctionalSpec, w: Channel, q: QFamily, p_init: Pmf) ->
     until the objective does not decrease; iteration stops after
     _NUMERIC_ROUNDS rounds or when a round gains less than 1e-12.  The
     start must be strictly interior; a coordinate may reach 0 along the
-    way and then stays 0.  This is the prior step of the generic kind; for
-    the built-in kinds it is an independent cross-check of
-    `p_step_closed`.  NonFinite if G is still -inf where the ascent ends:
-    every input left has infinite loss, or E lies outside eta's domain.
+    way and then stays 0.  This is the prior step of the generic kind;
+    UnsupportedSpec for a built-in kind, whose step is `p_step_closed`.
+    NonFinite if G is still -inf where the ascent ends: every input left
+    has infinite loss, or E lies outside eta's domain.
     """
+    if spec.has_closed_p_step:
+        raise UnsupportedSpec(f"no numeric prior update for {spec.kind!r}; it has an exact one")
     if len(p_init) != w.nx:
         raise DimensionMismatch("initial prior and channel input alphabets differ")
     if q.nx != w.nx or q.ny != w.ny:

@@ -1,5 +1,8 @@
 """Golden-file reproducibility and behaviour of the command-line front end."""
 
+import ast
+
+import numpy as np
 import pytest
 
 import gen_goldens
@@ -34,6 +37,27 @@ def test_readme_trace_example_is_the_golden():
     golden = (HERE / "golden" / f"{TRACE_CASE[0]}.tsv").read_text(encoding="utf-8").splitlines()
     assert len(example) >= 3
     assert example == golden[:len(example)]
+
+
+def test_readme_python_example_gives_its_commented_values():
+    # each expression of the quick start with a comment evaluates to the
+    # value the comment ends with: digits truncated at "...", or an array
+    readme = (HERE.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    lines, env, checked = block.splitlines(), {}, 0
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), env)
+            continue
+        got = eval(ast.unparse(stmt.value), env)
+        want = lines[stmt.end_lineno - 1].split("#", 1)[1].split("= ")[-1].strip()
+        if want.endswith("..."):
+            digits = want[:-3]
+            assert abs(got - float(digits)) < 10.0 ** -len(digits.split(".")[1])
+        else:
+            np.testing.assert_allclose(got, eval(want, {"array": np.array}), atol=1e-9)
+        checked += 1
+    assert checked == 3
 
 
 def test_rerun_is_byte_identical():

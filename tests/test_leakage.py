@@ -12,11 +12,8 @@ from genmi import (
     MixedSign,
     ScoringRule,
     ZeroDenominator,
-    arimoto_mi,
-    bayes_value,
     evsi,
     evsi_scoring,
-    hayashi_mi,
     identity_gain,
     log_loss_rule,
     log_score_rule,
@@ -27,7 +24,10 @@ from genmi import (
     power_rule,
     pseudo_spherical_rule,
     alpha_score_rule,
-    shannon_mi,
+    arimoto_pair,
+    hayashi_pair,
+    mutual_information,
+    shannon_pair,
     uniform,
 )
 
@@ -37,24 +37,25 @@ from conftest import rand_channel, rand_pmf
 class TestBayesValue:
     def test_identity_gain_bsc(self, bsc10, uniform2):
         # E_Y[max_x p(x|Y)]: both posteriors peak at 0.9
-        assert bayes_value(identity_gain(2), uniform2, bsc10) == pytest.approx(0.9, abs=1e-12)
+        value = evsi(identity_gain(2), uniform2, bsc10).posterior_value
+        assert value == pytest.approx(0.9, abs=1e-12)
 
     def test_independent_channel_no_improvement(self):
         m = GainMatrix([[2.0, 0.0], [0.0, 1.0]])
         p = make_pmf([0.4, 0.6])
         w = make_channel([[0.5, 0.5], [0.5, 0.5]])
         prior_best = max(0.4 * 2.0, 0.6 * 1.0)
-        assert bayes_value(m, p, w) == pytest.approx(prior_best, abs=1e-12)
+        assert evsi(m, p, w).posterior_value == pytest.approx(prior_best, abs=1e-12)
 
     def test_single_action(self, bsc10):
         m = GainMatrix([[0.3], [0.8]])
         p = make_pmf([0.25, 0.75])
         expected = 0.25 * 0.3 + 0.75 * 0.8
-        assert bayes_value(m, p, bsc10) == pytest.approx(expected, abs=1e-12)
+        assert evsi(m, p, bsc10).posterior_value == pytest.approx(expected, abs=1e-12)
 
     def test_loss_orientation(self, bsc10, uniform2):
         m = GainMatrix(1.0 - np.eye(2), kind="loss")  # 0-1 loss
-        assert bayes_value(m, uniform2, bsc10) == pytest.approx(0.1, abs=1e-12)
+        assert evsi(m, uniform2, bsc10).posterior_value == pytest.approx(0.1, abs=1e-12)
 
     def test_more_actions_never_hurt(self):
         rng = np.random.default_rng(11)
@@ -63,8 +64,8 @@ class TestBayesValue:
             w = rand_channel(rng, 3, 3)
             base = rng.normal(size=(3, 2))
             extra = np.column_stack([base, rng.normal(size=(3, 2))])
-            v_small = bayes_value(GainMatrix(base), p, w)
-            v_large = bayes_value(GainMatrix(extra), p, w)
+            v_small = evsi(GainMatrix(base), p, w).posterior_value
+            v_large = evsi(GainMatrix(extra), p, w).posterior_value
             assert v_large >= v_small - 1e-12
 
 
@@ -100,7 +101,7 @@ class TestEvsiMatrix:
             m = GainMatrix(rng.normal(size=(3, 4)))
             assert evsi(m, p, w).additive >= -1e-9
 
-    @pytest.mark.parametrize("value", [evsi, bayes_value, mevsi_matrix],
+    @pytest.mark.parametrize("value", [evsi, mevsi_matrix],
                              ids=lambda f: f.__name__)
     def test_row_count_must_match_the_prior(self, value, bsc10, uniform2):
         with pytest.raises(DimensionMismatch, match="gain matrix rows must match"):
@@ -116,7 +117,8 @@ class TestEvsiScoring:
                 p = rand_pmf(rng, m)
                 w = rand_channel(rng, m, n)
                 report = evsi_scoring(rule, p, w)
-                assert report.additive == pytest.approx(shannon_mi(p, w), abs=1e-9)
+                shannon = mutual_information(shannon_pair(), p, w).mi
+                assert report.additive == pytest.approx(shannon, abs=1e-9)
 
     def test_proper_rule_independent_channel_zero(self):
         p = make_pmf([0.35, 0.65])
@@ -141,7 +143,7 @@ class TestMevsi:
             w = rand_channel(rng, m, n)
             for a in (0.5, 2.0, 4.0):
                 got = mevsi_scoring(alpha_score_rule(a), p, w)
-                assert got == pytest.approx(arimoto_mi(a, p, w), abs=1e-8)
+                assert got == pytest.approx(mutual_information(arimoto_pair(a), p, w).mi, abs=1e-8)
 
     def test_pseudo_spherical_equals_arimoto(self):
         rng = np.random.default_rng(23)
@@ -151,7 +153,7 @@ class TestMevsi:
             w = rand_channel(rng, m, n)
             for a in (0.5, 2.0, 4.0):
                 got = mevsi_scoring(pseudo_spherical_rule(a), p, w)
-                assert got == pytest.approx(arimoto_mi(a, p, w), abs=1e-8)
+                assert got == pytest.approx(mutual_information(arimoto_pair(a), p, w).mi, abs=1e-8)
 
     def test_power_equals_hayashi(self):
         rng = np.random.default_rng(29)
@@ -161,7 +163,7 @@ class TestMevsi:
             w = rand_channel(rng, m, n)
             for a in (0.5, 2.0, 4.0):
                 got = mevsi_scoring(power_rule(a), p, w)
-                assert got == pytest.approx(hayashi_mi(a, p, w), abs=1e-8)
+                assert got == pytest.approx(mutual_information(hayashi_pair(a), p, w).mi, abs=1e-8)
 
     def test_mixed_sign_rejected(self, bsc10, uniform2):
         shifted = ScoringRule(
@@ -189,7 +191,8 @@ class TestMevsi:
 
     def test_multiplicative_only_where_the_rule_declares_its_constant(self, bsc10, uniform2):
         got = mevsi_scoring(alpha_score_rule(2.0), uniform2, bsc10)
-        assert got == pytest.approx(arimoto_mi(2.0, uniform2, bsc10), abs=1e-10)
+        assert got == pytest.approx(mutual_information(arimoto_pair(2.0), uniform2, bsc10).mi,
+                                    abs=1e-10)
         with pytest.raises(DomainError, match="declares no multiplicative constant"):
             mevsi_scoring(log_score_rule(), uniform2, bsc10)
 
@@ -204,7 +207,7 @@ class TestDataProcessing:
             n = int(rng.integers(2, 4))
             p = rand_pmf(rng, m)
             w1 = rand_channel(rng, m, k)
-            w12 = w1.compose(rand_channel(rng, k, n))
+            w12 = make_channel(w1.rows @ rand_channel(rng, k, n).rows)
             assert (
                 evsi_scoring(log_rule, p, w12).additive
                 <= evsi_scoring(log_rule, p, w1).additive + 1e-9

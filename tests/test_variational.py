@@ -18,7 +18,6 @@ from genmi import (
     alpha_tilt,
     arimoto_a1_spec,
     arimoto_a2_spec,
-    arimoto_mi,
     arimoto_pair,
     eval_functional,
     fb_spec,
@@ -68,7 +67,7 @@ def random_family(rng, m, n, floor=1e-3):
 
 
 def _ascent(spec, w, fam, rounds):
-    """p_step_numeric from the uniform prior, run for `rounds` rounds."""
+    """The numeric prior ascent `_p_numeric` from the uniform prior, run for `rounds` rounds."""
     c = _input_coeffs(spec, w.rows, fam.cols)
     return Pmf(_p_numeric(spec, c, uniform(w.nx).probs, rounds))
 
@@ -90,7 +89,8 @@ class TestEvalFunctional:
     def test_a1_at_its_maximizer_equals_arimoto_mi(self, bsc10, uniform2):
         spec = arimoto_a1_spec(2.0)
         val = eval_functional(spec, uniform2, bsc10, q_step(spec, uniform2, bsc10))
-        assert val == pytest.approx(arimoto_mi(2.0, uniform2, bsc10), abs=1e-12)
+        assert val == pytest.approx(mutual_information(arimoto_pair(2.0), uniform2, bsc10).mi,
+                                    abs=1e-12)
         assert val == pytest.approx(0.4947, abs=1e-4)
 
     def test_shannon_matches_joint_expectation(self):
@@ -305,7 +305,7 @@ class TestVariationalIdentity:
                                      q_step(arimoto_a1_spec(a), p, w))
                 v2 = eval_functional(arimoto_a2_spec(a), p, w,
                                      q_step(arimoto_a2_spec(a), p, w))
-                target = arimoto_mi(a, p, w)
+                target = mutual_information(arimoto_pair(a), p, w).mi
                 assert v1 == pytest.approx(target, abs=1e-8)
                 assert v2 == pytest.approx(target, abs=1e-8)
 
@@ -500,12 +500,19 @@ class TestPStepNumeric:
             assert np.max(np.abs(numeric.probs - [best_t, 1 - best_t])) < 2e-3
 
     def test_stationary_start_returns_start(self):
-        spec = shannon_spec()
+        spec = generic_spec(shannon_pair())
         w = make_channel([[0.8, 0.2], [0.2, 0.8]])
         p0 = uniform(2)
         fam = q_step(spec, p0, w)  # uniform is optimal for this symmetric channel
         out = p_step_numeric(spec, w, fam, p0)
         np.testing.assert_allclose(out.probs, p0.probs, atol=1e-9)
+
+    def test_unsupported_for_built_in_kinds(self, bsc10, uniform2):
+        # a built-in kind's prior step is p_step_closed
+        for spec in all_specs(2.0):
+            fam = q_step(spec, uniform2, bsc10)
+            with pytest.raises(UnsupportedSpec, match="no numeric prior update"):
+                p_step_numeric(spec, bsc10, fam, uniform2)
 
 
 GRADIENT_SPECS = (
@@ -593,16 +600,17 @@ class TestPriorGradient:
         w = make_channel([[0.9, 0.1], [0.2, 0.8]])
         fam = QFamily(np.array([[0.01, 0.01], [0.99, 0.99]]))
         for a in (2.0, 3.0):
+            spec = fb_spec(a)
             with pytest.raises(NonFinite, match=rf"numeric prior step \(fehr-berens\({a:g}\)\): "
                                                 r"G is -inf .* outside eta's domain"):
-                p_step_numeric(fb_spec(a), w, fam, make_pmf([0.99, 0.01]))
+                _p_numeric(spec, _input_coeffs(spec, w.rows, fam.cols), np.array([0.99, 0.01]))
         # every input has infinite loss, so no step can empty them
-        swap = QFamily(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(NonFinite, match=r"inputs \[0, 1\] have mass and infinite loss"):
-            p_step_numeric(shannon_spec(), make_channel(np.eye(2)), swap, uniform(2))
+            _p_numeric(shannon_spec(), _input_coeffs(shannon_spec(), np.eye(2), swap), np.full(2, 0.5))
 
     def test_public_step_rejects_boundary_start(self, bsc10):
-        spec = hayashi_spec(2.0)
+        spec = generic_spec(hayashi_pair(2.0))
         fam = q_step(spec, uniform(2), bsc10)
         with pytest.raises(DomainError):
             p_step_numeric(spec, bsc10, fam, make_pmf([1.0, 0.0]))
@@ -611,11 +619,12 @@ class TestPriorGradient:
         rng = np.random.default_rng(97)
         w = rand_channel(rng, 3, 3)
         fam = random_family(rng, 3, 3, floor=0.05)
-        want = p_step_numeric(fb_spec(2.0), w, fam, uniform(3))
+        spec = generic_spec(fehr_berens_pair(2.0))
+        want = p_step_numeric(spec, w, fam, uniform(3))
 
         def forbidden(*args):
             raise AssertionError("_eval called inside the prior step")
 
         monkeypatch.setattr(variational, "_eval", forbidden)
-        got = p_step_numeric(fb_spec(2.0), w, fam, uniform(3))
+        got = p_step_numeric(spec, w, fam, uniform(3))
         assert got.probs.tobytes() == want.probs.tobytes()
