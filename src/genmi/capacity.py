@@ -62,7 +62,7 @@ import numpy as np
 
 from .entropy import _core_values, _eta_values
 from .errors import Diverged, DimensionMismatch, DomainError, TooLarge
-from .simplex import Channel, Pmf, uniform
+from .simplex import Channel, Pmf, _scaled_power, uniform
 from .variational import (
     _QUIET,
     FunctionalSpec,
@@ -223,7 +223,9 @@ def _dual_radius(spec: FunctionalSpec, w: np.ndarray, p: np.ndarray) -> float | 
     for Arimoto max_x D_a(W_x || Q) with Q proportional to (p^a W^a)^(1/a)
     (Csiszar 1995), the order-a Renyi divergence
     D_a(P || Q) = log(sum_y P^a Q^(1-a)) / (a - 1).  Q is formed from each
-    joint column over its largest cell, so that it cannot underflow to 0/0.
+    joint column over its largest cell, so that it cannot underflow to 0/0,
+    and each row's sum in log space over its largest term, so that a P^a
+    that underflows to 0 never meets a Q^(1-a) that overflows to inf.
     The measure is read from the pair's row, whatever the kind; None for
     the other measures and for a custom pair.  +inf if some input reaches
     an output Q gives no mass.  The caller holds `np.errstate(**_QUIET)`."""
@@ -235,12 +237,12 @@ def _dual_radius(spec: FunctionalSpec, w: np.ndarray, p: np.ndarray) -> float | 
         return None
     a = spec.alpha
     joint = p[:, None] * w
-    top = joint.max(axis=0)
-    top = np.where(top > 0.0, top, 1.0)
-    q = top * ((joint / top) ** a).sum(axis=0) ** (1.0 / a)
-    q = q / q.sum()
-    terms = np.where(pos, w ** a * q ** (1.0 - a), 0.0).sum(axis=1)
-    return float((np.log(terms) / (a - 1.0)).max())
+    q = joint.max(axis=0) * _scaled_power(joint, a).sum(axis=0) ** (1.0 / a)
+    logs = np.where(pos, a * np.log(w) + (1.0 - a) * np.log(q / q.sum()), -math.inf)
+    top = logs.max(axis=1)
+    top = np.where(np.isfinite(top), top, 0.0)  # an infinite top less itself would be NaN
+    log_sums = top + np.log(np.exp(logs - top[:, None]).sum(axis=1))
+    return float((log_sums / (a - 1.0)).max())
 
 
 # ---------------------------------------------------------------------------

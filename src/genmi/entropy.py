@@ -19,9 +19,9 @@ Fehr-Berens is defined above order 1 only.  kappa beta = 1/(1-a) in
 every row, so all three report the same unconditional value (the
 order-a entropy) while their conditional versions differ.
 
-The built-in cores reduce over axis 0, so one call evaluates a pmf or a
-stack of pmf columns of any trailing shape, and their outer maps act
-elementwise; the conditional entropy and the capacity oracle rely on both.
+The built-in cores and their gradients reduce over axis 0, so one call
+evaluates a pmf or a stack of pmf columns of any trailing shape, and their
+outer maps act elementwise; the oracle and the generic loss table rely on it.
 """
 
 from __future__ import annotations
@@ -41,13 +41,14 @@ class EntropyPair:
 
     `F` takes an array whose axis 0 runs over the alphabet and reduces over
     that axis: a pmf gives one value, a matrix of pmf columns one value per
-    column, and so on for any trailing shape.  `eta` acts elementwise on
-    arrays as well as on floats.  The conditional entropy and the capacity
-    oracle call them that way and raise UnsupportedSpec for a pair whose F
-    or eta does not return one value per column or element.
+    column, and so on for any trailing shape.  `grad_f`, a subgradient of F
+    guaranteed on the simplex interior only, is batched alike: a matrix of
+    pmf columns gives the matrix of their gradients.  `eta` acts elementwise
+    on arrays as well as on floats.  The conditional entropy, the capacity
+    oracle and the generic loss table (`scoring.loss_from_core`) call them
+    that way and raise UnsupportedSpec for a pair whose maps do not.
     `eta_domain` is the open interval of arguments eta accepts; feeding it
     a value outside raises DomainError rather than silently flipping signs.
-    `grad_f` is a subgradient of F, guaranteed on the simplex interior only.
     `eta_slope` is eta's derivative; with grad_f it gives the prior gradient
     of the variational functional, so a custom pair supplies it too.
 
@@ -136,7 +137,7 @@ def _power_pair(measure: str, alpha: float) -> EntropyPair:
             return sign * (p ** a).sum(axis=0) ** beta
 
     def grad_f(p: np.ndarray) -> np.ndarray:
-        return sign * b * (p ** a).sum() ** (beta - 1.0) * p ** (a - 1.0)
+        return sign * b * (p ** a).sum(axis=0) ** (beta - 1.0) * p ** (a - 1.0)
 
     return _built_in(EntropyPair(
         name=f"{measure}({a:g})",
@@ -161,8 +162,9 @@ def hayashi_pair(alpha: float) -> EntropyPair:
 
 def fehr_berens_pair(alpha: float) -> EntropyPair:
     """Core -||p||_a^(a/(a-1)) with outer map -log(-t); requires a > 1."""
-    if _checked_order(alpha) < 1.0:
-        raise BadAlpha(f"fehr-berens requires order > 1, got {alpha:g}")
+    a = _checked_order(alpha)
+    if a < 1.0:
+        raise BadAlpha(f"fehr-berens requires order > 1, got {a!r}")
     return _power_pair("fehr-berens", alpha)
 
 
@@ -191,25 +193,24 @@ def mutual_information(pair: EntropyPair, p_x: Pmf, w: Channel) -> MiReport:
 
 def _core_values(pair: EntropyPair, cols: np.ndarray) -> np.ndarray:
     """F of every column of `cols` (axis 0 over the alphabet), in one call."""
-    return _batched(pair, "F", pair.F, cols, cols.shape[1:])
+    return _batched(pair.name, "F", pair.F, cols, cols.shape[1:])
 
 
 def _eta_values(pair: EntropyPair, t: np.ndarray) -> np.ndarray:
     """eta of every element of `t`, in one call and without the domain check."""
-    return _batched(pair, "eta", pair.eta, t, t.shape)
+    return _batched(pair.name, "eta", pair.eta, t, t.shape)
 
 
-def _batched(pair: EntropyPair, name: str, fn, arg: np.ndarray, shape) -> np.ndarray:
-    """fn(arg) as a float array of the given shape, or UnsupportedSpec when
-    the pair's map does not follow the batched contract of EntropyPair."""
+def _batched(who: str, name: str, fn, arg: np.ndarray, shape) -> np.ndarray:
+    """fn(arg) as a float array of the given shape, or UnsupportedSpec naming
+    `who` when the map breaks the batched contract of EntropyPair."""
     try:
         out = np.asarray(fn(arg), dtype=np.float64)
     except (TypeError, ValueError) as exc:
-        raise UnsupportedSpec(f"{pair.name}: {name} does not accept arrays ({exc})") from exc
+        raise UnsupportedSpec(f"{who}: {name} does not accept arrays ({exc})") from exc
     if out.shape != tuple(shape):
         raise UnsupportedSpec(
-            f"{pair.name}: {name} gave shape {out.shape} on input of shape {arg.shape}, "
-            f"expected {tuple(shape)}; F must reduce over axis 0 and eta act elementwise"
+            f"{who}: {name} gave shape {out.shape} on input of shape {arg.shape}, "
+            f"expected {tuple(shape)}, as EntropyPair's batched contract asks"
         )
     return out
-

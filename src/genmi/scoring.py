@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from .entropy import _batched
 from .errors import DimensionMismatch, DomainError, NonFinite
 from .simplex import Pmf, _checked_order, alpha_tilt
 
@@ -93,27 +94,34 @@ def optimal_response(rule: ScoringRule, belief: Pmf) -> Pmf:
 
 
 def loss_from_core(
-    F: Callable[[np.ndarray], float],
+    F: Callable[[np.ndarray], np.ndarray | float],
     grad_f: Callable[[np.ndarray], np.ndarray],
     q: Pmf | np.ndarray,
 ) -> np.ndarray:
-    """Per-outcome values of the proper loss F(q) + z . (1_x - q).
+    """Per-outcome values of the proper loss F(q) + z . (1_x - q), for one
+    pmf q or each column of a (|X|, k) stack, in one call of F and of grad_f
+    (UnsupportedSpec if either is not batched as `EntropyPair` asks).
 
-    The subgradient z is taken at q nudged to the simplex interior (uniform
-    mixing at weight 1e-12), since gradients may blow up at the boundary;
-    F and the inner product z . q are taken at q itself.  So the expected
-    loss under q is F(q) whatever z is, and the generic functional at the
-    response step equals the mutual information up to rounding, at priors
-    on the boundary too.  The mixing is not negligible everywhere: where
-    q is 0, an order-a gradient q^(a-1) with a < 1 gives a large finite
-    loss instead of an infinite one.
+    The subgradient z is taken at q nudged to the simplex interior
+    (`_interior`), since gradients may blow up at the boundary; F and the
+    inner product z . q are taken at q itself.  So the expected loss under
+    q is F(q) whatever z is, and the generic functional at the response
+    step equals the mutual information up to rounding, at priors on the
+    boundary too.  The mixing is not negligible everywhere: where q is 0,
+    an order-a gradient q^(a-1) with a < 1 gives a large finite loss
+    instead of an infinite one.
     """
     qv = q.probs if isinstance(q, Pmf) else np.asarray(q, dtype=np.float64)
-    z = np.asarray(grad_f((1.0 - GRAD_MIX) * qv + GRAD_MIX / qv.size), dtype=np.float64)
-    out = F(qv) + z - float(z @ qv)
+    z = _batched("loss_from_core", "grad_f", grad_f, _interior(qv), qv.shape)
+    out = _batched("loss_from_core", "F", F, qv, qv.shape[1:]) + z - (z * qv).sum(axis=0)
     if not np.all(np.isfinite(out)):
         raise NonFinite("core gradient is not finite after interior mixing")
     return out
+
+
+def _interior(q: np.ndarray) -> np.ndarray:
+    """Each column of q mixed with the uniform pmf at weight GRAD_MIX."""
+    return (1.0 - GRAD_MIX) * q + GRAD_MIX / q.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -170,13 +170,21 @@ def posterior(p_x: Pmf, w: Channel) -> Posterior:
 
 
 def alpha_tilt(p: Pmf, alpha: float) -> Pmf:
-    """Tilted distribution p(x)**alpha, renormalized; alpha = 1 is the identity."""
+    """Tilted distribution p(x)**alpha, renormalized; alpha = 1 is the identity.
+    The powers are taken over p's largest entry (`_scaled_power`), so that
+    no order underflows them all to 0."""
     _check_alpha(alpha)
-    w = p.probs ** alpha
-    total = float(w.sum())
-    if total <= 0.0 or not np.isfinite(total):
-        raise NonFinite("tilt has no finite positive mass")
-    return Pmf(w / total)
+    w = _scaled_power(p.probs, alpha)
+    return Pmf(w / w.sum())
+
+
+def _scaled_power(cells: np.ndarray, a: float) -> np.ndarray:
+    """(cells / top) ** a with top the largest entry of each column (axis
+    0): every column with mass keeps a largest entry of 1, whatever the
+    order, where cells ** a may underflow to 0 throughout.  All-zero
+    columns stay 0."""
+    top = cells.max(axis=0)
+    return (cells / np.where(top > 0.0, top, 1.0)) ** a
 
 
 def _check_alpha(alpha: float) -> None:

@@ -63,8 +63,8 @@ from .errors import (
     NonFinite,
     UnsupportedSpec,
 )
-from .scoring import GRAD_MIX, loss_from_core
-from .simplex import Channel, Pmf
+from .scoring import _interior, loss_from_core
+from .simplex import Channel, Pmf, _scaled_power
 
 #: The built-in kinds, each with the measure (its pair's `row[0]`) its formulas are for.
 _CLOSED_FORM_KINDS = {"shannon": "shannon", "arimoto_a1": "arimoto", "arimoto_a2": "arimoto",
@@ -178,7 +178,7 @@ def eval_functional(spec: FunctionalSpec, p_x: Pmf, w: Channel, q: QFamily) -> f
 def _eval(spec: FunctionalSpec, p: np.ndarray, w: np.ndarray, q: np.ndarray) -> float:
     joint = p[:, None] * w
     with np.errstate(**_QUIET):
-        e = _expectation(joint, _loss_cells(spec, q, (joint > 0.0).any(axis=0)))
+        e = _expectation(joint, _loss_cells(spec, q))
     return _outer_value(spec, p, e)
 
 
@@ -190,7 +190,7 @@ def _expectation(joint: np.ndarray, cells: np.ndarray) -> float:
     return float((joint * cells)[joint > 0.0].sum())
 
 
-def _loss_cells(spec: FunctionalSpec, q: np.ndarray, used: np.ndarray) -> np.ndarray:
+def _loss_cells(spec: FunctionalSpec, q: np.ndarray) -> np.ndarray:
     """The loss l(x, q(.|y)) at every cell (x, y) of the response family q,
     signed like the pair's core (negated above order 1 for the order-a
     measures): the pair's l_F, or for the first Arimoto form a loss whose
@@ -198,20 +198,18 @@ def _loss_cells(spec: FunctionalSpec, q: np.ndarray, used: np.ndarray) -> np.nda
     F(q) + grad F(q) . (1_x - q) = sign s^(beta-1) ((1-b) s + b q^(a-1)),
     s the column's power sum.
 
-    Log-type losses are +inf where q is 0.  `used` marks the columns the
-    caller reads; the generic kind builds only those (and leaves 0 in the
-    rest), every other kind builds all of them.  The caller holds
-    `np.errstate(**_QUIET)`.
+    The generic kind's table is one `loss_from_core` call, so its pair's
+    F and grad_f must be batched (UnsupportedSpec otherwise).  The built-in
+    kinds skip its interior mixing: Shannon's -log q is +inf where q is 0,
+    and above order 1 a family cell's q-term is exactly 0 there (an
+    Arimoto cell exactly 0, as its exact prior step needs).  The caller
+    holds `np.errstate(**_QUIET)`.
     """
     kind, a = spec.kind, spec.alpha
     if kind == "shannon":
         return -np.log(q)
     if kind == "generic":
-        pair = spec.pair
-        cells = np.zeros_like(q)
-        for y in np.flatnonzero(used):
-            cells[:, y] = loss_from_core(pair.F, pair.grad_f, q[:, y])
-        return cells
+        return loss_from_core(spec.pair.F, spec.pair.grad_f, q)
     _, sign, beta, b = spec.pair.row
     if kind == "arimoto_a1":
         return sign * q ** ((a - 1.0) / a)
@@ -254,10 +252,7 @@ def _q_cols(kind: str, a: float | None, p: np.ndarray, joint: np.ndarray) -> np.
     p(x) w(y|x).  For a pmf p, each column is a non-negative column over its
     own sum, or p, so it passes QFamily's checks.  A tilted column is taken
     over its largest cell before the power, so that it cannot underflow to 0."""
-    cells = joint
-    if kind == "arimoto_a1":
-        top = joint.max(axis=0)
-        cells = (joint / np.where(top > 0.0, top, 1.0)) ** a
+    cells = _scaled_power(joint, a) if kind == "arimoto_a1" else joint
     col_mass = cells.sum(axis=0)
     has_mass = col_mass > 0.0
     return np.where(has_mass, cells / np.where(has_mass, col_mass, 1.0), p[:, None])
@@ -502,7 +497,7 @@ def _prior_objective(spec: FunctionalSpec, c: np.ndarray):
     def grad(p: np.ndarray) -> np.ndarray:
         e = p.dot(c)  # a numpy float: eta_slope(0.0) is inf, not ZeroDivisionError
         with np.errstate(divide="ignore", invalid="ignore"):
-            z = pair.grad_f((1.0 - GRAD_MIX) * p + GRAD_MIX / p.size)
+            z = pair.grad_f(_interior(p))
             g = pair.eta_slope(pair.F(p)) * z - pair.eta_slope(e) * c
         return np.where((p > 0.0) & keep, g, -math.inf)
 
@@ -513,9 +508,8 @@ def _input_coeffs(spec: FunctionalSpec, w: np.ndarray, q: np.ndarray) -> np.ndar
     """Per-input coefficients c of the expectation term, E = p . c, for the
     response family q; +inf on an input whose loss is +inf on one of its
     outputs."""
-    pos = w > 0.0
     with np.errstate(**_QUIET):
-        return _coeffs(w, pos, _loss_cells(spec, q, pos.any(axis=0)))
+        return _coeffs(w, w > 0.0, _loss_cells(spec, q))
 
 
 def _coeffs(w: np.ndarray, pos: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -531,11 +525,10 @@ def _table_coeffs(spec: FunctionalSpec, w: np.ndarray):
     `eval_functional` does).  The caller holds `np.errstate(**_QUIET)`."""
     kind, a = spec.kind, spec.alpha
     pos = w > 0.0
-    used = pos.any(axis=0)
 
     def coeffs(p: np.ndarray):
         joint = p[:, None] * w
-        cells = _loss_cells(spec, _q_cols(kind, a, p, joint), used)
+        cells = _loss_cells(spec, _q_cols(kind, a, p, joint))
         return _coeffs(w, pos, cells), _expectation(joint, cells)
 
     return coeffs

@@ -127,6 +127,13 @@ class TestSolveNumeric:
                 if result.converged:
                     assert result.capacity == pytest.approx(oracle, abs=1e-3)
 
+    def test_unbatched_pair_is_unsupported(self):
+        # the generic loss table calls F and grad_f once on all its columns
+        w = rand_channel(np.random.default_rng(53), 3, 4)
+        for pair in SCALAR_ONLY_PAIRS:
+            with pytest.raises(UnsupportedSpec):
+                solve(SolverConfig(spec=generic_spec(pair)), w)
+
     def test_forced_numeric_matches_closed_shannon(self):
         rng = np.random.default_rng(47)
         w = rand_channel(rng, 2, 3)
@@ -613,6 +620,15 @@ class TestDualGap:
         # (p^a W^a)^(1/a) underflows to 0 here and made Q, and the gap, NaN
         for make in (arimoto_a1_spec, arimoto_a2_spec):
             gap = solve(SolverConfig(spec=make(a)), w).gap
+            assert math.isfinite(gap) and gap >= -1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_finite_on_two_by_two_channels_at_order_1000(self, seed):
+        # w^a underflows to 0 where q^(1-a) overflows to inf, and their
+        # product made the gap NaN
+        w = _named(2, 2, seed)
+        for make in (arimoto_a1_spec, arimoto_a2_spec):
+            gap = solve(SolverConfig(spec=make(1000.0)), w).gap
             assert math.isfinite(gap) and gap >= -1e-12
 
     def test_bsc_converges_to_its_certificate(self):

@@ -162,6 +162,16 @@ def test_arimoto_half_on_named_channel_converges(tmp_path):
     assert b"converged: true" in proc.stdout
 
 
+def test_alpha_score_leakage_at_a_high_order_exits_0(tmp_path):
+    # the tilt of the uniform prior at order 400 used to underflow to 0
+    # and exit 3 with NonFinite
+    chan = tmp_path / "r881.chan"
+    chan.write_bytes(run_cli(["random-channel", "--nx", "8", "--ny", "8", "--seed", "1"]).stdout)
+    proc = run_cli(["leakage", str(chan), "--rule", "alpha-score", "--alpha", "400"])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert b"additive: " in proc.stdout
+
+
 def test_bad_prior_length_is_domain_error():
     proc = run_cli(["mi", "fixtures/bsc10.chan", "--measure", "shannon",
                     "--prior", "0.2,0.3,0.5"])

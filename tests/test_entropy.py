@@ -14,6 +14,7 @@ from genmi import (
     arimoto_pair,
     conditional_entropy,
     entropy,
+    fb_spec,
     fehr_berens_pair,
     hayashi_pair,
     make_channel,
@@ -247,6 +248,12 @@ class TestConstructors:
         with pytest.raises(BadAlpha):
             fehr_berens_pair(0.5)
 
+    def test_fb_below_order_one_names_the_order_exactly(self):
+        # the order used to be printed with :g, which rounds 0.99999999 to 1
+        for make in (fehr_berens_pair, fb_spec):
+            with pytest.raises(BadAlpha, match=r"got 0\.99999999$"):
+                make(0.99999999)
+
     @pytest.mark.parametrize("a", (0.3, 0.5, 1.5, 2.0, 3.0, 5.0))
     def test_core_and_eta_match_written_forms_bit_for_bit(self, a):
         # the capacity oracle reads F and eta, and its binary-input best_p
@@ -293,6 +300,21 @@ class TestConstructors:
                 want = sign * (p ** a).sum(axis=0) ** 1.0
                 assert got.shape == want.shape == shape[1:]
                 assert np.array_equal(got, want), (pair.name, shape)
+
+    def test_gradients_are_batched_over_columns(self):
+        # grad_f maps a stack of pmf columns to the stack of their gradients,
+        # as F maps it to one value per column
+        rng = np.random.default_rng(29)
+        for a in ALL_ALPHAS:
+            for pair in all_pairs(a):
+                for shape in ((5, 30), (3, 4, 7)):
+                    p = np.moveaxis(rng.dirichlet(np.full(shape[0], 0.8), size=shape[1:]), -1, 0)
+                    grad = pair.grad_f(p)
+                    assert grad.shape == shape, pair.name
+                    for idx in np.ndindex(*shape[1:]):
+                        col = p[(slice(None), *idx)]
+                        np.testing.assert_allclose(grad[(slice(None), *idx)], pair.grad_f(col),
+                                                   rtol=1e-14, atol=0, err_msg=pair.name)
 
     def test_gradients_match_finite_differences(self):
         # tolerance is relative to the gradient scale; float64 central

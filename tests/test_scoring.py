@@ -9,6 +9,7 @@ from genmi import (
     BadAlpha,
     Pmf,
     ScoringRule,
+    UnsupportedSpec,
     alpha_loss_rule,
     alpha_score_rule,
     alpha_tilt,
@@ -31,7 +32,7 @@ from genmi import (
     uniform,
 )
 
-from conftest import binary_entropy, rand_channel, rand_pmf
+from conftest import SCALAR_ONLY_PAIRS, binary_entropy, rand_channel, rand_pmf
 
 ALPHAS = (0.5, 2.0, 5.0)
 
@@ -327,6 +328,37 @@ class TestCoreLoss:
             assert float(p.probs @ loss_from_core(pair.F, pair.grad_f, p)) == (
                 pytest.approx(want, abs=1e-10)
             )
+
+    def test_stack_gives_the_per_column_losses(self):
+        # one call on a (|X|, k) stack is the table of each column's losses,
+        # columns on the boundary included
+        rng = np.random.default_rng(89)
+        q = rng.dirichlet(np.full(4, 0.6), size=9).T
+        q[:, :3] = [[1.0, 0.5, 0.0], [0.0, 0.5, 0.2], [0.0, 0.0, 0.8], [0.0, 0.0, 0.0]]
+        for pair in self.cores():
+            table = loss_from_core(pair.F, pair.grad_f, q)
+            assert table.shape == q.shape, pair.name
+            for y in range(q.shape[1]):
+                col = loss_from_core(pair.F, pair.grad_f, q[:, y])
+                np.testing.assert_allclose(table[:, y], col, rtol=1e-13, atol=1e-13,
+                                           err_msg=f"{pair.name} column {y}")
+
+    def test_unbatched_core_or_gradient_is_unsupported_on_a_stack(self):
+        q = np.array([[0.2, 0.7, 0.5], [0.8, 0.3, 0.5]])
+        gini = SCALAR_ONLY_PAIRS[0]
+        unbatched_grads = (
+            lambda p: -2.0 * p.ravel(),  # one flat vector for the whole stack
+            lambda p: -2.0 * np.array([float(x) for x in p]),  # raises on a stack
+        )
+        for pair in SCALAR_ONLY_PAIRS:
+            # a single pmf is fine, and a stack is refused, not looped over
+            assert loss_from_core(pair.F, pair.grad_f, q[:, 0]).shape == (2,)
+            with pytest.raises(UnsupportedSpec, match="loss_from_core: F"):
+                loss_from_core(pair.F, pair.grad_f, q)
+        for grad_f in unbatched_grads:
+            assert loss_from_core(gini.F, grad_f, q[:, 0]).shape == (2,)
+            with pytest.raises(UnsupportedSpec, match="loss_from_core: grad_f"):
+                loss_from_core(lambda p: 1.0 - (p * p).sum(axis=0), grad_f, q)
 
     def test_core_loss_is_proper(self):
         rng = np.random.default_rng(83)

@@ -181,6 +181,12 @@ class TestAlphaTilt:
         for a in (0.5, 2.0, 7.0):
             np.testing.assert_allclose(alpha_tilt(uniform(4), a).probs, 0.25, atol=1e-15)
 
+    def test_high_orders_do_not_underflow(self):
+        # (1/8)^400 underflows to 0: the powers are taken over the largest entry
+        assert np.array_equal(alpha_tilt(uniform(8), 400.0).probs, np.full(8, 0.125))
+        p = make_pmf([0.3, 0.5, 0.2])
+        assert np.array_equal(alpha_tilt(p, 5000.0).probs, [0.0, 1.0, 0.0])
+
     def test_order_one_identity(self):
         p = make_pmf([0.1, 0.2, 0.7])
         np.testing.assert_allclose(alpha_tilt(p, 1.0).probs, p.probs, atol=0)

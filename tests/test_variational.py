@@ -49,7 +49,7 @@ from genmi.variational import (
     _table_coeffs,
 )
 
-from conftest import rand_channel, rand_pmf
+from conftest import SCALAR_ONLY_PAIRS, rand_channel, rand_pmf
 
 ALPHAS = (0.5, 2.0, 5.0)
 
@@ -131,11 +131,66 @@ class TestEvalFunctional:
                     # the closed cells are the pair's proper loss, in its sign (atol for
                     # cells where the loss crosses 0 and O(1) terms cancel)
                     with np.errstate(**_QUIET):
-                        cells = _loss_cells(spec, q.cols, np.ones(n, dtype=bool))
+                        cells = _loss_cells(spec, q.cols)
                     for y in range(n):
                         proper = loss_from_core(spec.pair.F, spec.pair.grad_f, q.cols[:, y])
                         np.testing.assert_allclose(cells[:, y], proper, rtol=1e-10, atol=1e-14,
                                                    err_msg=f"{spec.kind} order {a}")
+
+    def test_generic_table_is_one_core_and_one_gradient_call(self):
+        # the generic loss table calls F and grad_f once on all its columns,
+        # however many outputs the channel has
+        rng = np.random.default_rng(17)
+        for base in (shannon_pair(), arimoto_pair(2.0), hayashi_pair(0.5)):
+            calls = []
+
+            def counted(name, fn):
+                return lambda p: calls.append((name, p.shape)) or fn(p)
+
+            pair = EntropyPair(name="counted", F=counted("F", base.F),
+                               grad_f=counted("grad_f", base.grad_f), eta=base.eta,
+                               eta_slope=base.eta_slope, eta_domain=base.eta_domain)
+            spec = generic_spec(pair)
+            for ny in (1, 7, 60):
+                w = rand_channel(rng, 4, ny)
+                p = rand_pmf(rng, 4, floor=0.01)
+                calls.clear()
+                eval_functional(spec, p, w, random_family(rng, 4, ny))
+                # one call each for the table, and F once more for eta(F(p))
+                assert sorted(calls) == [("F", (4,)), ("F", (4, ny)), ("grad_f", (4, ny))]
+                calls.clear()
+                with np.errstate(**_QUIET):
+                    _table_coeffs(spec, w.rows)(p.probs)
+                assert sorted(calls) == [("F", (4, ny)), ("grad_f", (4, ny))]
+
+    def test_unbatched_pair_is_unsupported(self):
+        rng = np.random.default_rng(19)
+        w = rand_channel(rng, 3, 4)
+        q = random_family(rng, 3, 4)
+        for pair in SCALAR_ONLY_PAIRS:
+            with pytest.raises(UnsupportedSpec):
+                eval_functional(generic_spec(pair), uniform(3), w, q)
+
+    @pytest.mark.parametrize("a", (1.5, 2.0, 3.0, 5.0))
+    def test_family_cells_keep_no_gradient_term_where_q_is_zero(self, a):
+        # above order 1 the q-term b q^(a-1) of a family cell is exactly 0
+        # where q is 0, so an Arimoto cell there is exactly 0 and a Hayashi
+        # or Fehr-Berens cell is exactly its q-free term.  The generic table
+        # mixes q into the interior first and leaves rounding there instead,
+        # and an Arimoto cell of +1e-16 where 0 is exact has the exact prior
+        # step take the log of a negative sign * c.  So these kinds keep
+        # their own formula.
+        q = np.array([[1.0, 0.0, 0.6, 0.0], [0.0, 0.3, 0.4, 0.0], [0.0, 0.7, 0.0, 1.0]])
+        zero = q == 0.0
+        for spec in (arimoto_a2_spec(a), hayashi_spec(a), fb_spec(a)):
+            with np.errstate(**_QUIET):
+                cells = _loss_cells(spec, q)
+            _, sign, beta, b = spec.pair.row
+            s = (q ** a).sum(axis=0)
+            q_free = np.broadcast_to(sign * s ** (beta - 1.0) * ((1.0 - b) * s), q.shape)
+            assert np.array_equal(cells[zero], q_free[zero]), spec.kind
+            if spec.kind == "arimoto_a2":
+                assert np.all(cells[zero] == 0.0)
 
 
 class TestFunctionalSpec:
