@@ -5,9 +5,11 @@ printed to stdout as a deterministic key-value document (12 significant
 digits, nats unless --bits); wall-clock time goes to stderr so stdout is
 byte-identical across reruns of the same inputs.
 
-Exit codes: 0 on success, 2 on input-parse errors, 3 on domain errors,
-4 when the capacity solver hits its iteration budget without converging
-(the result is still printed, flagged `converged: false`).
+Exit codes: 0 on success, 2 on input-parse errors (including an input file
+that cannot be read or decoded as UTF-8 and a --trace path that cannot be
+written), 3 on domain errors, 4 when the capacity solver hits its
+iteration budget without converging (the result is still printed, flagged
+`converged: false`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import inspect
 import math
 import sys
 import time
+from dataclasses import asdict
+from functools import partial
 
 from . import __version__
 from .capacity import SolverConfig, brute_force_search, solve
@@ -41,7 +45,6 @@ from .scoring import (
 )
 from .simplex import Pmf, make_pmf, uniform
 from .variational import (
-    FunctionalSpec,
     arimoto_a1_spec,
     arimoto_a2_spec,
     fb_spec,
@@ -71,21 +74,16 @@ RULES = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        code = args.func(args)
-    except ParseError as exc:
-        print(f"error: ParseError: {exc}", file=sys.stderr)
-        return 2
+        return args.func(args)
     except GenmiError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ParseError) else 3
     finally:
         elapsed = time.perf_counter() - started
         print(f"elapsed_seconds: {elapsed:.3f}", file=sys.stderr)
-    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,15 +93,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_mi = sub.add_parser("mi", help="entropy, conditional entropy, and mutual information")
-    _add_channel_args(p_mi)
-    _add_measure_args(p_mi)
-    p_mi.add_argument("--bits", action="store_true", help="report in bits instead of nats")
-    p_mi.set_defaults(func=_cmd_mi)
+    def command(name, func, help, prior=True, measure=True):
+        """Subcommand `name` on a channel file, with --prior if `prior`, and
+        --measure, --alpha and --bits if it is a measure command."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("channel", help="channel file (keyed or delimited form)")
+        if prior:
+            p.add_argument("--prior", help="'uniform' or a comma/space separated vector; "
+                                           "defaults to the file prior, else uniform")
+        if measure:
+            p.add_argument("--measure", choices=tuple(SPECS), required=True)
+            p.add_argument("--alpha", type=float, help="order for arimoto/hayashi/fehr-berens")
+            p.add_argument("--bits", action="store_true", help="report in bits instead of nats")
+        return p
 
-    p_cap = sub.add_parser("capacity", help="maximize mutual information over priors")
-    _add_channel_args(p_cap, prior=False)
-    _add_measure_args(p_cap)
+    command("mi", _cmd_mi, "entropy, conditional entropy, and mutual information")
+
+    p_cap = command("capacity", _cmd_capacity, "maximize mutual information over priors",
+                    prior=False)
     p_cap.add_argument("--eps", type=float, default=1e-10,
                        help="absolute stopping threshold on the objective gain")
     p_cap.add_argument("--relative-eps", action="store_true",
@@ -116,24 +124,17 @@ def _build_parser() -> argparse.ArgumentParser:
                             "gradient-ascent rounds per prior step instead, an independent "
                             "cross-check that can stop short below order 1")
     p_cap.add_argument("--trace", metavar="PATH", help="write per-iteration objective values")
-    p_cap.add_argument("--bits", action="store_true")
-    p_cap.set_defaults(func=_cmd_capacity)
 
-    p_leak = sub.add_parser("leakage", help="additive and multiplicative leakage")
-    _add_channel_args(p_leak)
+    p_leak = command("leakage", _cmd_leakage, "additive and multiplicative leakage", measure=False)
     src = p_leak.add_mutually_exclusive_group(required=True)
     src.add_argument("--rule", choices=sorted(RULES))
     src.add_argument("--gain-matrix", metavar="FILE")
-    p_leak.add_argument("--alpha", type=float, default=None)
+    p_leak.add_argument("--alpha", type=float)
     p_leak.add_argument("--multiplicative", action="store_true")
-    p_leak.set_defaults(func=_cmd_leakage)
 
-    p_oracle = sub.add_parser("oracle", help="brute-force capacity over a simplex grid")
-    _add_channel_args(p_oracle, prior=False)
-    _add_measure_args(p_oracle)
+    p_oracle = command("oracle", _cmd_oracle, "brute-force capacity over a simplex grid",
+                       prior=False)
     p_oracle.add_argument("--resolution", type=float, default=1e-2)
-    p_oracle.add_argument("--bits", action="store_true")
-    p_oracle.set_defaults(func=_cmd_oracle)
 
     p_rand = sub.add_parser("random-channel", help="emit a deterministic fixture channel")
     p_rand.add_argument("--nx", type=int, required=True)
@@ -144,33 +145,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_channel_args(p: argparse.ArgumentParser, prior: bool = True) -> None:
-    p.add_argument("channel", help="channel file (keyed or delimited form)")
-    if prior:
-        p.add_argument("--prior", default=None,
-                       help="'uniform' or a comma/space separated vector; "
-                            "defaults to the file prior, else uniform")
-
-
-def _add_measure_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--measure", choices=tuple(SPECS), required=True)
-    p.add_argument("--alpha", type=float, default=None,
-                   help="order for arimoto/hayashi/fehr-berens")
-
-
-def _resolve_prior(args, nx: int, file_prior: Pmf | None) -> tuple[Pmf, str]:
-    spec = getattr(args, "prior", None)
-    if spec is None:
-        if file_prior is not None:
-            return file_prior, format_vector(file_prior.probs)
+def _resolve_prior(text: str | None, nx: int, file_prior: Pmf | None) -> tuple[Pmf, str]:
+    """The prior --prior names (`text`) and its echo: the file prior, else
+    uniform, when it is absent."""
+    if text is None and file_prior is not None:
+        return file_prior, format_vector(file_prior.probs)
+    if text in (None, "uniform"):
         return uniform(nx), "uniform"
-    if spec == "uniform":
-        return uniform(nx), "uniform"
-    tokens = spec.replace(",", " ").split()
     try:
-        values = [float(t) for t in tokens]
+        values = [float(t) for t in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise ParseError(f"--prior: expected numbers, got {spec!r}") from exc
+        raise ParseError(f"--prior: expected numbers, got {text!r}") from exc
     p = make_pmf(values)
     if len(p) != nx:
         raise DomainError(f"--prior has {len(p)} entries, channel has {nx} inputs")
@@ -186,16 +171,31 @@ def _construct(make, alpha: float | None, what: str):
     return make(alpha) if takes_order else make()
 
 
-def _measure_spec(measure: str, alpha: float | None) -> FunctionalSpec:
-    return _construct(SPECS[measure][0], alpha, f"the {measure} measure")
+def _alpha_echo(alpha: float | None) -> str:
+    return "none" if alpha is None else format_float(alpha)
 
 
-def _unit_scale(bits: bool) -> tuple[float, str]:
-    return (1.0 / math.log(2.0), "bits") if bits else (1.0, "nats")
+def _measure_config(args, rest: dict) -> tuple[dict, float]:
+    """The config echo of a measure command (mi, capacity, oracle) and the
+    factor its results are scaled by: the channel, measure and alpha, then
+    `rest`, then the units that --bits picks."""
+    scale, units = (1.0 / math.log(2.0), "bits") if args.bits else (1.0, "nats")
+    return {
+        "channel": args.channel,
+        "measure": args.measure,
+        "alpha": _alpha_echo(args.alpha),
+        **rest,
+        "units": units,
+    }, scale
 
 
-def _emit(tree: dict) -> None:
-    sys.stdout.write(render_document(tree))
+def _emit(command: str, config: dict, result: dict) -> None:
+    sys.stdout.write(render_document({
+        "command": command,
+        "config": config,
+        "result": result,
+        "version": __version__,
+    }))
 
 
 # ---------------------------------------------------------------------------
@@ -205,25 +205,14 @@ def _emit(tree: dict) -> None:
 
 def _cmd_mi(args) -> int:
     chan, file_prior = parse_channel_file(args.channel)
-    prior, prior_echo = _resolve_prior(args, chan.nx, file_prior)
-    pair = _measure_spec(args.measure, args.alpha).pair
-    scale, units = _unit_scale(args.bits)
-    report = mutual_information(pair, prior, chan)
-    _emit({
-        "command": "mi",
-        "config": {
-            "channel": args.channel,
-            "measure": args.measure,
-            "alpha": "none" if args.alpha is None else format_float(args.alpha),
-            "prior": prior_echo,
-            "units": units,
-        },
-        "result": {
-            "h_x": report.h_x * scale,
-            "h_x_given_y": report.h_x_given_y * scale,
-            "mi": report.mi * scale,
-        },
-        "version": __version__,
+    prior, prior_echo = _resolve_prior(args.prior, chan.nx, file_prior)
+    spec, _ = _capacity_plan(args.measure, args.alpha, "auto")
+    report = mutual_information(spec.pair, prior, chan)
+    config, scale = _measure_config(args, {"prior": prior_echo})
+    _emit("mi", config, {
+        "h_x": report.h_x * scale,
+        "h_x_given_y": report.h_x_given_y * scale,
+        "mi": report.mi * scale,
     })
     return 0
 
@@ -253,101 +242,69 @@ def _cmd_capacity(args) -> int:
         relative=args.relative_eps,
     )
     result = solve(cfg, chan)
-    scale, units = _unit_scale(args.bits)
-
+    config, scale = _measure_config(args, {
+        "algorithm": algo_name,
+        "eps": format_float(args.eps),
+        "eps-mode": "relative" if args.relative_eps else "absolute",
+        "max-iter": args.max_iter,
+    })
     if args.trace:
         rows = ["k\tF\tdeltaF"]
         for k, value in enumerate(result.trace):  # the first gain is undefined: left empty
             tail = format_float((value - result.trace[k - 1]) * scale) if k else ""
             rows.append(f"{k}\t{format_float(value * scale)}\t{tail}")
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
-
-    _emit({
-        "command": "capacity",
-        "config": {
-            "channel": args.channel,
-            "measure": args.measure,
-            "alpha": "none" if args.alpha is None else format_float(args.alpha),
-            "algorithm": algo_name,
-            "eps": format_float(args.eps),
-            "eps-mode": "relative" if args.relative_eps else "absolute",
-            "max-iter": args.max_iter,
-            "units": units,
-        },
-        "result": {
-            "capacity": result.capacity * scale,
-            "argmax_p": result.argmax_p.probs,
-            "iterations": result.iterations,
-            "converged": result.converged,
-        },
-        "version": __version__,
+        try:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(rows) + "\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.trace!r}: {exc.strerror}") from exc
+    _emit("capacity", config, {
+        "capacity": result.capacity * scale,
+        "argmax_p": result.argmax_p.probs,
+        "iterations": result.iterations,
+        "converged": result.converged,
     })
     return 0 if result.converged else 4
 
 
 def _cmd_leakage(args) -> int:
     chan, file_prior = parse_channel_file(args.channel)
-    prior, prior_echo = _resolve_prior(args, chan.nx, file_prior)
+    prior, prior_echo = _resolve_prior(args.prior, chan.nx, file_prior)
 
     if args.rule is not None:
         rule = _construct(RULES[args.rule], args.alpha, f"rule {args.rule!r}")
         report = evsi_scoring(rule, prior, chan)
-        multiplicative = mevsi_scoring(rule, prior, chan) if args.multiplicative else None
-        source = {"rule": args.rule,
-                  "alpha": "none" if args.alpha is None else format_float(args.alpha)}
+        multiplicative = partial(mevsi_scoring, rule, prior, chan)
+        source = {"rule": args.rule, "alpha": _alpha_echo(args.alpha)}
     else:
         if args.alpha is not None:
             raise DomainError("--alpha is not accepted with --gain-matrix")
         matrix, c_declared = parse_gain_file(args.gain_matrix)
         report = evsi(matrix, prior, chan)
-        multiplicative = (
-            mevsi_matrix(matrix, prior, chan, c_declared) if args.multiplicative else None
-        )
+        multiplicative = partial(mevsi_matrix, matrix, prior, chan, c_declared)
         source = {"gain-matrix": args.gain_matrix, "kind": matrix.kind}
 
-    result = {
-        "prior_value": report.prior_value,
-        "posterior_value": report.posterior_value,
-        "additive": report.additive,
-    }
+    result = asdict(report)  # prior_value, posterior_value, additive
     if args.multiplicative:
-        result["multiplicative"] = multiplicative
-    _emit({
-        "command": "leakage",
-        "config": {"channel": args.channel, **source, "prior": prior_echo, "units": "nats"},
-        "result": result,
-        "version": __version__,
-    })
+        result["multiplicative"] = multiplicative()
+    _emit("leakage", {"channel": args.channel, **source, "prior": prior_echo, "units": "nats"},
+          result)
     return 0
 
 
 def _cmd_oracle(args) -> int:
     chan, _ = parse_channel_file(args.channel)
-    spec = _measure_spec(args.measure, args.alpha)
-    scale, units = _unit_scale(args.bits)
+    spec, _ = _capacity_plan(args.measure, args.alpha, "auto")
     value, best = brute_force_search(spec, chan, args.resolution)
-    _emit({
-        "command": "oracle",
-        "config": {
-            "channel": args.channel,
-            "measure": args.measure,
-            "alpha": "none" if args.alpha is None else format_float(args.alpha),
-            "resolution": format_float(args.resolution),
-            "units": units,
-        },
-        "result": {
-            "capacity": value * scale,
-            "best_p": best.probs,
-        },
-        "version": __version__,
+    config, scale = _measure_config(args, {"resolution": format_float(args.resolution)})
+    _emit("oracle", config, {
+        "capacity": value * scale,
+        "best_p": best.probs,
     })
     return 0
 
 
 def _cmd_random_channel(args) -> int:
-    if args.nx < 1 or args.ny < 1:
-        raise DomainError("--nx and --ny must be at least 1")
     sys.stdout.write(random_channel_text(args.nx, args.ny, args.seed))
     return 0
 

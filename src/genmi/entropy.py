@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadAlpha, DomainError, UnsupportedSpec
-from .simplex import Channel, Pmf, _checked_order, posterior
+from .simplex import Channel, Pmf, _checked_order, _order_text, posterior
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def _power_pair(measure: str, alpha: float) -> EntropyPair:
         return sign * b * (p ** a).sum(axis=0) ** (beta - 1.0) * p ** (a - 1.0)
 
     return _built_in(EntropyPair(
-        name=f"{measure}({a:g})",
+        name=f"{measure}({_order_text(a)})",
         F=F,
         grad_f=grad_f,
         eta=lambda t: kappa * np.log(sign * t),

@@ -196,6 +196,10 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"cannot read {path!r}: not UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -199,3 +199,9 @@ def _checked_order(alpha: float) -> float:
     if alpha == 1.0:
         raise BadAlpha("order 1 is not accepted; use the shannon measure or a log rule")
     return float(alpha)
+
+
+def _order_text(a: float) -> str:
+    """The order as its shortest round-trip text without a trailing `.0`:
+    2.0 prints as 2 and 0.99999999 as itself, never rounded to 1."""
+    return repr(float(a)).removesuffix(".0")

@@ -64,7 +64,7 @@ from .errors import (
     UnsupportedSpec,
 )
 from .scoring import _interior, loss_from_core
-from .simplex import Channel, Pmf, _scaled_power
+from .simplex import Channel, Pmf, _order_text, _scaled_power
 
 #: The built-in kinds, each with the measure (its pair's `row[0]`) its formulas are for.
 _CLOSED_FORM_KINDS = {"shannon": "shannon", "arimoto_a1": "arimoto", "arimoto_a2": "arimoto",
@@ -403,7 +403,7 @@ def _bracketed_root(f, lo, hi, tol: float):
 
 
 def _step_failed(kind: str, a: float | None, c: np.ndarray, why: str):
-    order = "" if a is None else f", order {a:g}"
+    order = "" if a is None else f", order {_order_text(a)}"
     raise NonFinite(
         f"exact prior step ({kind}{order}): {why} "
         f"for the input coefficients c = {np.array2string(c, precision=6)}"

@@ -1,13 +1,15 @@
 """Golden-file reproducibility and behaviour of the command-line front end."""
 
+import argparse
 import ast
+import re
 
 import numpy as np
 import pytest
 
 import gen_goldens
 from cli_cases import CASES, HERE, TRACE_CASE, run_cli
-from genmi.cli import _capacity_plan
+from genmi.cli import _build_parser, _capacity_plan
 
 
 @pytest.mark.parametrize("name,argv,expected", CASES, ids=[c[0] for c in CASES])
@@ -244,3 +246,118 @@ def test_gen_goldens_check_writes_nothing_and_reports_a_change(tmp_path, capsys)
     assert "would change golden/random_channel.out" in out
     assert "would change golden/err_parse.out" in out
     assert [f.name for f in tmp_path.iterdir()] == ["random_channel.out"]
+
+
+def test_unwritable_trace_path_is_parse_error(tmp_path):
+    trace = tmp_path / "no_such_dir" / "t.tsv"
+    proc = run_cli(["capacity", "fixtures/asym22.chan", "--measure", "shannon",
+                    "--trace", str(trace)])
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert f"error: ParseError: cannot write {str(trace)!r}: ".encode() in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["mi", "{bad}", "--measure", "shannon"],
+    ["leakage", "fixtures/bsc10.chan", "--gain-matrix", "{bad}"],
+], ids=["channel", "gain-matrix"])
+def test_undecodable_input_file_is_parse_error(tmp_path, argv):
+    bad = tmp_path / "bin.chan"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    proc = run_cli([arg.format(bad=bad) for arg in argv])
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert f"error: ParseError: cannot read {str(bad)!r}: not UTF-8".encode() in proc.stderr
+
+
+def test_empty_random_channel_is_domain_error():
+    proc = run_cli(["random-channel", "--nx", "0", "--ny", "3", "--seed", "1"])
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert b"error: DomainError: " in proc.stderr
+
+
+MEASURES = ("shannon", "arimoto", "hayashi", "fehr-berens")
+RULE_NAMES = ["alpha-loss", "alpha-score", "log", "log-loss", "power", "pseudo-spherical"]
+STORE, FLAG = "_StoreAction", "_StoreTrueAction"
+
+#: subcommand -> option strings (dest for a positional) -> (default, type,
+#: choices, required, action class) of every argument
+SURFACE = {
+    "mi": {
+        "channel": (None, None, None, True, STORE),
+        ("--prior",): (None, None, None, False, STORE),
+        ("--measure",): (None, None, MEASURES, True, STORE),
+        ("--alpha",): (None, float, None, False, STORE),
+        ("--bits",): (False, None, None, False, FLAG),
+    },
+    "capacity": {
+        "channel": (None, None, None, True, STORE),
+        ("--measure",): (None, None, MEASURES, True, STORE),
+        ("--alpha",): (None, float, None, False, STORE),
+        ("--eps",): (1e-10, float, None, False, STORE),
+        ("--relative-eps",): (False, None, None, False, FLAG),
+        ("--max-iter",): (10000, int, None, False, STORE),
+        ("--algorithm",): ("auto", None, ("auto", "a1", "a2", "numeric"), False, STORE),
+        ("--trace",): (None, None, None, False, STORE),
+        ("--bits",): (False, None, None, False, FLAG),
+    },
+    "leakage": {
+        "channel": (None, None, None, True, STORE),
+        ("--prior",): (None, None, None, False, STORE),
+        ("--rule",): (None, None, RULE_NAMES, False, STORE),
+        ("--gain-matrix",): (None, None, None, False, STORE),
+        ("--alpha",): (None, float, None, False, STORE),
+        ("--multiplicative",): (False, None, None, False, FLAG),
+    },
+    "oracle": {
+        "channel": (None, None, None, True, STORE),
+        ("--measure",): (None, None, MEASURES, True, STORE),
+        ("--alpha",): (None, float, None, False, STORE),
+        ("--resolution",): (0.01, float, None, False, STORE),
+        ("--bits",): (False, None, None, False, FLAG),
+    },
+    "random-channel": {
+        ("--nx",): (None, int, None, True, STORE),
+        ("--ny",): (None, int, None, True, STORE),
+        ("--seed",): (None, int, None, True, STORE),
+    },
+}
+
+
+def _subparsers():
+    parser = _build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_parser_surface_is_pinned():
+    subparsers = _subparsers()
+    assert list(subparsers) == list(SURFACE)
+    for name, sub in subparsers.items():
+        got = {
+            tuple(a.option_strings) or a.dest:
+                (a.default, a.type, a.choices, a.required, type(a).__name__)
+            for a in sub._actions if not isinstance(a, argparse._HelpAction)
+        }
+        assert got == SURFACE[name], name
+    # --rule and --gain-matrix: exactly one of them
+    [group] = subparsers["leakage"]._mutually_exclusive_groups
+    assert group.required
+    assert [a.dest for a in group._group_actions] == ["rule", "gain_matrix"]
+
+
+def test_readme_synopsis_names_every_flag():
+    readme = (HERE.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    named = {}
+    for line in block.splitlines():
+        if line.startswith("genmi "):
+            command = line.split()[1]
+        named.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    flags = {
+        name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sub in _subparsers().items()
+    }
+    assert named == flags

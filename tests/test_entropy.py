@@ -254,6 +254,13 @@ class TestConstructors:
             with pytest.raises(BadAlpha, match=r"got 0\.99999999$"):
                 make(0.99999999)
 
+    def test_pair_names_carry_the_order_unrounded(self):
+        # names used :g, so orders either side of 1 were both named 1
+        assert hayashi_pair(0.99999999).name == "hayashi(0.99999999)"
+        assert hayashi_pair(1.0000001).name == "hayashi(1.0000001)"
+        assert arimoto_pair(2.0).name == "arimoto(2)"
+        assert fehr_berens_pair(1.5).name == "fehr-berens(1.5)"
+
     @pytest.mark.parametrize("a", (0.3, 0.5, 1.5, 2.0, 3.0, 5.0))
     def test_core_and_eta_match_written_forms_bit_for_bit(self, a):
         # the capacity oracle reads F and eta, and its binary-input best_p

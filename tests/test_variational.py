@@ -46,6 +46,7 @@ from genmi.variational import (
     _loss_cells,
     _p_numeric,
     _prior_objective,
+    _step_failed,
     _table_coeffs,
 )
 
@@ -524,6 +525,11 @@ class TestPStepClosed:
         with pytest.raises(NonFinite, match=r"exact prior step \(shannon\): prior update "
                                             r"collapsed.* c = \[inf inf\]"):
             p_step_closed(shannon_spec(), make_channel(np.eye(2)), fam)
+
+    def test_failed_step_names_the_order_unrounded(self):
+        with pytest.raises(NonFinite, match=r"exact prior step \(hayashi, order 0\.99999999\): "
+                                            r"no root"):
+            _step_failed("hayashi", 0.99999999, np.array([1.0, 2.0]), "no root")
 
 
 class TestPStepNumeric:
