@@ -41,7 +41,10 @@ must be strictly interior, and in the Pmf it returns.  In between, the
 loop runs the array kernels of the steps, whose outputs meet those
 checks by construction.  Iterates may reach the simplex boundary:
 capacity-achieving priors often give some inputs no mass, and an input
-the numeric ascent empties stays empty.
+the numeric ascent empties stays empty.  The exact Shannon and Arimoto
+steps set every mass below the smallest normal float (about 2.2e-308)
+to 0: such sub-normal masses add nothing to the objective, yet they slow
+every product they enter, and on 256x8 channels most inputs reach them.
 
 The oracle maximizes the mutual information itself over a simplex grid
 (with golden-section refinement for binary inputs).  It shares only the
@@ -205,16 +208,27 @@ def _extrapolated(p: np.ndarray, t: np.ndarray, mu: float) -> np.ndarray | None:
     ratios up to rounding, and a trial would otherwise scale that rounding
     by mu - 1 round after round: 1e-16 grows to 1e-9 in twelve rounds.  The
     caller holds `np.errstate(**_QUIET)`.
+
+    The arithmetic runs in place on one buffer.  An input that p leaves
+    empty and t does not has an infinite ratio, and no trial is taken.
     """
-    keep = t > 0.0
+    kept = np.count_nonzero(t)
     log_t = np.log(t)
-    ratio = np.where(keep, log_t - np.log(p), -math.inf)
+    ratio = np.log(p)
+    np.subtract(log_t, ratio, out=ratio)
+    if kept < t.size:  # where t and p are both 0 the difference is NaN
+        ratio = np.where(t > 0.0, ratio, -math.inf)
     top = ratio.max()
-    ratio = np.where(ratio >= top - _RATIO_TIE, top, ratio)
-    log_x = log_t + (mu - 1.0) * (ratio - top)
-    x = np.exp(log_x - log_x.max())
-    x = x / x.sum()
-    return x if np.all(x[keep] > 0.0) else None
+    if top == math.inf:
+        return None
+    ratio[ratio >= top - _RATIO_TIE] = top
+    ratio -= top
+    ratio *= mu - 1.0
+    ratio += log_t  # log x, up to a constant
+    ratio -= ratio.max()
+    x = np.exp(ratio, out=ratio)
+    x /= x.sum()
+    return x if np.count_nonzero(x) == kept else None
 
 
 def _dual_radius(spec: FunctionalSpec, w: np.ndarray, p: np.ndarray) -> float | None:

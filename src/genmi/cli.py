@@ -7,9 +7,9 @@ byte-identical across reruns of the same inputs.
 
 Exit codes: 0 on success, 2 on input-parse errors (including an input file
 that cannot be read or decoded as UTF-8 and a --trace path that cannot be
-written), 3 on domain errors, 4 when the capacity solver hits its
-iteration budget without converging (the result is still printed, flagged
-`converged: false`).
+written, found before the solve), 3 on domain errors, 4 when the capacity
+solver hits its iteration budget without converging (the result is still
+printed, flagged `converged: false`).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -154,8 +155,10 @@ def _resolve_prior(text: str | None, nx: int, file_prior: Pmf | None) -> tuple[P
         return uniform(nx), "uniform"
     try:
         values = [float(t) for t in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ParseError(f"--prior: expected numbers, got {text!r}") from exc
+    except ValueError:
+        values = []
+    if not values:  # a token that is not a number, or no token at all
+        raise ParseError(f"--prior: expected numbers, got {text!r}")
     p = make_pmf(values)
     if len(p) != nx:
         raise DomainError(f"--prior has {len(p)} entries, channel has {nx} inputs")
@@ -196,6 +199,24 @@ def _emit(command: str, config: dict, result: dict) -> None:
         "result": result,
         "version": __version__,
     }))
+
+
+def _probe_trace(path: str) -> None:
+    """ParseError now, before the solve, if the --trace path cannot be
+    opened for writing.  It appends nothing and removes a file it created,
+    so a solve that raises leaves no trace file behind."""
+    existed = os.path.lexists(path)
+    _write_trace(path, "a", "")
+    if not existed:
+        os.remove(path)
+
+
+def _write_trace(path: str, mode: str, text: str) -> None:
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +262,8 @@ def _cmd_capacity(args) -> int:
         max_iter=args.max_iter,
         relative=args.relative_eps,
     )
+    if args.trace:
+        _probe_trace(args.trace)
     result = solve(cfg, chan)
     config, scale = _measure_config(args, {
         "algorithm": algo_name,
@@ -253,11 +276,7 @@ def _cmd_capacity(args) -> int:
         for k, value in enumerate(result.trace):  # the first gain is undefined: left empty
             tail = format_float((value - result.trace[k - 1]) * scale) if k else ""
             rows.append(f"{k}\t{format_float(value * scale)}\t{tail}")
-        try:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(rows) + "\n")
-        except OSError as exc:
-            raise ParseError(f"cannot write {args.trace!r}: {exc.strerror}") from exc
+        _write_trace(args.trace, "w", "\n".join(rows) + "\n")
     _emit("capacity", config, {
         "capacity": result.capacity * scale,
         "argmax_p": result.argmax_p.probs,

@@ -229,5 +229,6 @@ def random_channel_text(nx: int, ny: int, seed: int) -> str:
     words = _splitmix64_words(seed, nx * ny).reshape(nx, ny)
     rows = make_channel(((words >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53).rows
     lines = [f"x {nx}", f"y {ny}"]
-    lines += ["row " + format_vector(r) for r in rows]
+    row = "row " + " ".join(["%.12g"] * ny)  # format_float's digits, one format call a row
+    lines += [row % tuple(r) for r in rows.tolist()]
     return "\n".join(lines) + "\n"

@@ -74,6 +74,11 @@ _CLOSED_FORM_KINDS = {"shannon": "shannon", "arimoto_a1": "arimoto", "arimoto_a2
 #: overflow to inf); their callers hold one `np.errstate(**_QUIET)`.
 _QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
 
+#: The smallest normal float.  The exact Shannon and Arimoto steps set
+#: every mass below it to 0: sub-normal masses are worth nothing to the
+#: objective but slow every product they enter, `p @ w` about tenfold.
+_TINY = np.finfo(np.float64).tiny
+
 #: The numeric prior ascent (`_p_numeric`): at most this many rounds per
 #: prior step, each round's step size starting at _NUMERIC_STEP.
 _NUMERIC_ROUNDS, _NUMERIC_STEP = 200, 0.5
@@ -265,7 +270,8 @@ def p_step_closed(spec: FunctionalSpec, w: Channel, q: QFamily) -> Pmf:
     the prior is proportional to exp(-c_x) for Shannon (= prod_y
     q(x|y)^w(y|x)), and for the order-a family to the KKT point
     (sign c_x + (b-1) t)_+^(1/(a-1)) of `_p_kkt`; t drops out for
-    Arimoto, where b = 1.
+    Arimoto, where b = 1.  A Shannon or Arimoto mass below the smallest
+    normal float (about 2.2e-308) becomes 0.
 
     UnsupportedSpec for the generic kind, which has no such step.
     """
@@ -287,6 +293,8 @@ def _exact_step(spec: FunctionalSpec):
     b = 1, where k = 0 and the point is (sign c)^(1/(a-1)) in closed form.
     After the NonFinite guard the result is exp(<= 0) over a sum >= exp(0)
     = 1, or `_p_kkt`'s weights over their sum, so it passes Pmf's checks.
+    For Shannon and Arimoto every mass below the smallest normal float
+    (_TINY, about 2.2e-308) then becomes 0.
     The caller holds `np.errstate(**_QUIET)`.
     """
     kind, a = spec.kind, spec.alpha
@@ -300,7 +308,9 @@ def _exact_step(spec: FunctionalSpec):
         if not math.isfinite(top):
             _step_failed(kind, a, c, "prior update collapsed, no input has a finite weight,")
         p = np.exp(log_p - top)
-        return p / p.sum()
+        p /= p.sum()
+        p[p < _TINY] = 0.0
+        return p
 
     return step
 
@@ -560,14 +570,13 @@ def _coeff_kernel(spec: FunctionalSpec, w: np.ndarray):
     table = _table_coeffs(spec, w)
     kind, a = spec.kind, spec.alpha
     w = np.ascontiguousarray(w[:, w.any(axis=0)])
-    tiny = np.finfo(np.float64).tiny
 
     if kind == "shannon":
         wlogw = np.where(w > 0.0, w * np.log(w), 0.0).sum(axis=1)
 
         def coeffs(p: np.ndarray):
             r = p @ w
-            if not r.min() >= tiny:
+            if not r.min() >= _TINY:
                 return table(p)
             c = w @ np.log(r) - wlogw - np.log(p)
             return c, _expected(p, c)
@@ -580,7 +589,7 @@ def _coeff_kernel(spec: FunctionalSpec, w: np.ndarray):
     if b == 1.0:  # Arimoto, both forms: r cancels
         def coeffs(p: np.ndarray):
             s = p ** a @ wa
-            if not s.min() >= tiny:
+            if not s.min() >= _TINY:
                 return table(p)
             c = (sign * p ** (a - 1.0)) * (wa @ s ** ((1.0 - a) / a))
             return c, _expected(p, c)
@@ -589,7 +598,7 @@ def _coeff_kernel(spec: FunctionalSpec, w: np.ndarray):
 
     def coeffs(p: np.ndarray):
         r, s = p @ w, p ** a @ wa
-        if not min(r.min(), s.min()) >= tiny:
+        if not min(r.min(), s.min()) >= _TINY:
             return table(p)
         r1a = r ** (1.0 - a)
         sigma = s * r1a / r

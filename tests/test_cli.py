@@ -9,6 +9,7 @@ import pytest
 
 import gen_goldens
 from cli_cases import CASES, HERE, TRACE_CASE, run_cli
+from genmi import Diverged, cli
 from genmi.cli import _build_parser, _capacity_plan
 
 
@@ -256,6 +257,49 @@ def test_unwritable_trace_path_is_parse_error(tmp_path):
     assert proc.stdout == b""
     assert f"error: ParseError: cannot write {str(trace)!r}: ".encode() in proc.stderr
     assert b"Traceback" not in proc.stderr
+
+
+def _solve_must_not_run(*args):
+    raise AssertionError("solve ran before the --trace path was checked")
+
+
+def _solve_raises(*args):
+    raise Diverged("the solve failed")
+
+
+def test_unwritable_trace_path_fails_before_the_solve(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "solve", _solve_must_not_run)
+    trace = tmp_path / "no_such_dir" / "t.tsv"
+    code = cli.main(["capacity", str(HERE / "fixtures" / "asym22.chan"), "--measure", "shannon",
+                     "--trace", str(trace)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert f"error: ParseError: cannot write {str(trace)!r}: " in out.err
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-path", "existing-file"])
+def test_solve_that_raises_leaves_the_trace_path_as_it_was(tmp_path, monkeypatch, capsys, existing):
+    monkeypatch.setattr(cli, "solve", _solve_raises)
+    trace = tmp_path / "t.tsv"
+    if existing:
+        trace.write_text("k\tF\tdeltaF\n", encoding="utf-8")
+    code = cli.main(["capacity", str(HERE / "fixtures" / "asym22.chan"), "--measure", "shannon",
+                     "--trace", str(trace)])
+    assert code == 3
+    assert "error: Diverged: the solve failed" in capsys.readouterr().err
+    if existing:
+        assert trace.read_text(encoding="utf-8") == "k\tF\tdeltaF\n"
+    else:
+        assert not trace.exists()
+
+
+@pytest.mark.parametrize("prior", [",", " ", ", ,"])
+def test_prior_without_numbers_is_parse_error(prior):
+    proc = run_cli(["mi", "fixtures/bsc10.chan", "--measure", "shannon", "--prior", prior])
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert f"error: ParseError: --prior: expected numbers, got {prior!r}".encode() in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,10 @@
 """The portable fixture generator against a pure-Python SplitMix64."""
 
+import numpy as np
 import pytest
 
-from genmi import DomainError, make_pmf
-from genmi.io import _splitmix64_words, format_vector, random_channel_text
+from genmi import DomainError, make_channel, make_pmf
+from genmi.io import _splitmix64_words, format_float, format_vector, random_channel_text
 
 MASK = (1 << 64) - 1
 
@@ -36,6 +37,19 @@ SHAPES = ((1, 1), (1, 2), (2, 3), (3, 1), (4, 4), (8, 256), (64, 64), (256, 8))
 def test_matches_word_by_word_reference(nx, ny):
     for seed in SEEDS:
         assert random_channel_text(nx, ny, seed) == reference_text(nx, ny, seed), seed
+
+
+def test_rows_are_format_float_of_every_value():
+    # each row is printed by one "%.12g" format string: the bytes of
+    # format_float applied value by value, over a seeded sweep of shapes and seeds
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        nx, ny = (int(n) for n in rng.integers(1, 48, size=2))
+        seed = int(rng.integers(-(1 << 62), 1 << 62)) << int(rng.integers(0, 10))
+        words = _splitmix64_words(seed, nx * ny).reshape(nx, ny)
+        rows = make_channel(((words >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53).rows
+        lines = [f"x {nx}", f"y {ny}"] + ["row " + " ".join(format_float(v) for v in r) for r in rows]
+        assert random_channel_text(nx, ny, seed) == "\n".join(lines) + "\n", (nx, ny, seed)
 
 
 def test_first_words_of_the_stream():

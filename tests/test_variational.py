@@ -532,6 +532,39 @@ class TestPStepClosed:
             _step_failed("hayashi", 0.99999999, np.array([1.0, 2.0]), "no root")
 
 
+class TestNoSubnormalStep:
+    """An exact Shannon or Arimoto step that puts an input near e^-720, below
+    the smallest normal float (e^-708.4), gives it no mass at all."""
+
+    TINY = np.finfo(np.float64).tiny
+
+    def test_p_step_closed(self):
+        # q puts e^-720 on the third input for every output, so c = 720 there
+        # and its Shannon mass is e^-720 / (sum of the others' weights)
+        e = math.exp(-720.0)
+        assert 0.0 < e < self.TINY
+        w = make_channel([[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]])
+        q = QFamily(np.array([[0.5, 0.5], [0.5, 0.5], [e, e]]))
+        p = p_step_closed(shannon_spec(), w, q).probs
+        assert not np.any((p > 0.0) & (p < self.TINY))
+        assert p[2] == 0.0 and p[0] == p[1] == 0.5
+
+    # c such that the last weight is e^-720 of the first: exp(-c) for
+    # Shannon, (sign c)^(1/(a-1)) for Arimoto
+    @pytest.mark.parametrize("spec, c", [
+        (shannon_spec(), [0.0, 1.0, 720.0]),
+        (arimoto_a1_spec(0.5), [1.0, 2.0, math.exp(360.0)]),
+        (arimoto_a2_spec(0.5), [1.0, 2.0, math.exp(360.0)]),
+        (arimoto_a2_spec(1.5), [-1.0, -0.5, -math.exp(-360.0)]),
+    ], ids=["shannon", "a1(0.5)", "a2(0.5)", "a2(1.5)"])
+    def test_exact_step(self, spec, c):
+        with np.errstate(**_QUIET):
+            p = _exact_step(spec)(np.array(c))
+        assert p[2] == 0.0 and np.all(p[:2] > 0.1)
+        assert not np.any((p > 0.0) & (p < self.TINY))
+        assert p.sum() == pytest.approx(1.0, abs=1e-15)
+
+
 class TestPStepNumeric:
     def test_matches_closed_form_objective_for_shannon(self):
         rng = np.random.default_rng(29)
