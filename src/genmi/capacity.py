@@ -48,11 +48,14 @@ every product they enter, and on 256x8 channels most inputs reach them.
 
 The oracle maximizes the mutual information itself over a simplex grid
 (with golden-section refinement for binary inputs).  It shares only the
-entropy kernel -- the measure's F and eta -- and touches none of the
-functional or update code, so it catches errors anywhere in that chain.
-It streams the grid in blocks of _BLOCK_CELLS cells and never builds it
-whole, so its memory stays a few MB for any number of inputs; the only
-limit on its size is MAX_GRID_POINTS, a bound on its time.
+entropy kernel -- the measure's F, eta and, for a built-in pair, the
+posterior average, which reads sum_y p_Y(y) F(p_{X|Y=y}) from pW and
+p^a W^a -- and touches none of the functional or update code, so it
+catches errors anywhere in that chain.  It streams the grid in blocks of
+_BLOCK_CELLS cells and never builds it whole, so its memory stays a few
+MB for any number of inputs; the only limit on its size is
+MAX_GRID_POINTS, a bound on its time.  A grid value that is not finite
+(an order so high that its power sums underflow) raises NonFinite.
 """
 
 from __future__ import annotations
@@ -63,8 +66,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _core_values, _eta_values
-from .errors import Diverged, DimensionMismatch, DomainError, TooLarge
+from .entropy import _core_values, _eta_values, _posterior_average
+from .errors import Diverged, DimensionMismatch, DomainError, NonFinite, TooLarge
 from .simplex import Channel, Pmf, _scaled_power, uniform
 from .variational import (
     _QUIET,
@@ -79,11 +82,13 @@ from .variational import (
 #: Largest simplex grid the oracle will enumerate: a bound on its time,
 #: since its memory does not grow with the grid (a few seconds at m = 5).
 MAX_GRID_POINTS = 20_000_000
-#: Cells (grid points x |X| x |Y|) in one oracle block, so that the
-#: (|X|, |Y|, rows) posterior block of `_batch_mi` and its temporaries
-#: stay a few 0.5 MB arrays whatever the channel's or the grid's size:
-#: the grid itself is built one block at a time (`_grid_chunks`).  On the
-#: bench's oracle grids blocks of 2^14 or 2^20 cells run ~25 % slower.
+#: Cells (grid points x |X| x |Y|) in one oracle block.  The grid is
+#: built one block at a time (`_grid_chunks`).  Where `_batch_mi` forms the
+#: (|X|, |Y|, rows) posterior block -- a pair without a posterior average,
+#: or a call whose power sums underflow -- it and its temporaries stay a
+#: few 0.5 MB arrays whatever the channel's or the grid's size; the
+#: posterior average needs only (|Y|, rows) arrays.  On the bench's oracle
+#: grids posterior blocks of 2^14 or 2^20 cells ran ~25 % slower.
 _BLOCK_CELLS = 2 ** 16
 
 #: The exponent mu of the extrapolated trial after each prior step: it
@@ -271,10 +276,12 @@ def brute_force_search(
 
     Enumerates all priors with entries on a grid of the given resolution,
     evaluates the measure's mutual information at each (a block of grid
-    points at a time through the measure's own F and eta, never through
-    the functional), and for binary inputs refines the best grid cell by
-    golden-section search.  Any number of inputs is accepted; TooLarge if
-    the grid has more than MAX_GRID_POINTS points.
+    points at a time through the measure's own F, eta and posterior
+    average, never through the functional), and for binary inputs refines
+    the best grid cell by golden-section search.  Any number of inputs is
+    accepted; TooLarge if the grid has more than MAX_GRID_POINTS points,
+    NonFinite, naming the pair and the point, at the first grid value that
+    is not finite.
     """
     m = w.nx
     if not 1e-4 <= resolution <= 1e-1:
@@ -290,10 +297,10 @@ def brute_force_search(
     best_val = -math.inf
     best_p: np.ndarray | None = None
     chunk_rows = max(1, _BLOCK_CELLS // (m * w.ny))
-    # one workspace for every block's posterior columns: with a fresh one
-    # per block, glibc's malloc gave the heap back after each block and
-    # faulted it in again, ~1.5x slower on the bench's oracle grids
-    work = np.empty(m * w.ny * chunk_rows)
+    # one workspace for every block's posterior columns where the pair has
+    # no posterior average: with a fresh one per block, glibc's malloc gave
+    # the heap back after each block and faulted it in again, ~1.5x slower
+    work = np.empty(m * w.ny * chunk_rows) if spec.pair.posterior_average is None else None
     for chunk in _grid_chunks(m, steps, chunk_rows):
         vals = _batch_mi(spec, chunk, w.rows, work)
         i = int(np.argmax(vals))
@@ -377,23 +384,28 @@ def _batch_mi(
     """Mutual information of the spec's measure at a batch of priors (rows).
 
     eta(F(p)) - eta(sum_y p_Y(y) F(p_{X|Y=y})) for every row at once: the
-    pair's F reduces over axis 0, so the priors go in transposed and the
-    posterior columns as one (|X|, |Y|, N) block, the N priors on the last,
-    contiguous axis so that every elementwise pass runs long inner loops
-    however few the outputs; outputs with no mass get no weight.  The
-    block is written into `work`, a flat array of at least |X| |Y| N
-    floats, where given.  UnsupportedSpec if the pair is not batched.
+    pair's F reduces over axis 0, so the priors go in as (|X|, N) columns,
+    copied to one memory order so that a view and a copy give the same
+    bytes.  A built-in pair's posterior average reads the conditional term
+    from two channel products; any other pair's F runs on the (|X|, |Y|, N)
+    block of posterior columns, written into `work` where given
+    (`entropy._posterior_average`).  UnsupportedSpec if the pair is not
+    batched; NonFinite, naming the prior, if a value is not finite.
     """
     pair = spec.pair
-    p_t = priors.T  # (nx, N)
-    p_y = w.T @ p_t  # (ny, N)
-    shape = w.shape + p_t.shape[1:]
-    out = None if work is None else work[: math.prod(shape)].reshape(shape)
-    cols = np.multiply(p_t[:, None, :], w[:, :, None], out=out)  # (nx, ny, N)
-    cols /= np.where(p_y > 0.0, p_y, 1.0)  # posterior columns, 0 where p_y = 0
+    p_t = np.ascontiguousarray(priors.T)  # (nx, N)
     with np.errstate(divide="ignore", invalid="ignore"):
-        avg = np.where(p_y > 0.0, p_y * _core_values(pair, cols), 0.0).sum(axis=0)
-        return _eta_values(pair, _core_values(pair, p_t)) - _eta_values(pair, avg)
+        if pair.posterior_average is not None:
+            avg = pair.posterior_average(p_t, w)
+        else:
+            avg = _posterior_average(lambda cols: _core_values(pair, cols), p_t, w, work)
+        vals = _eta_values(pair, _core_values(pair, p_t)) - _eta_values(pair, avg)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i = int(np.argmin(finite))  # the first value that is not finite
+        raise NonFinite(f"{pair.name}: mutual information {vals[i]} "
+                        f"at grid point {p_t[:, i].tolist()}")
+    return vals
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:

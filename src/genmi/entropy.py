@@ -22,10 +22,24 @@ order-a entropy) while their conditional versions differ.
 The built-in cores and their gradients reduce over axis 0, so one call
 evaluates a pmf or a stack of pmf columns of any trailing shape, and their
 outer maps act elementwise; the oracle and the generic loss table rely on it.
+
+Each built-in pair also carries its posterior average: for prior columns
+P and a channel W, sum_y p_Y(y) F(p_{X|Y=y}) without forming a posterior.
+It factors through the output marginal r = pW and s = p^a W^a (Blahut
+1972; Arimoto 1972).  For Shannon it is H(X) + H(Y|X) - H(Y).  For the
+family it is
+
+    sign sum_{y: r_y > 0} r_y^(1-b) s_y^beta,
+
+since the posterior at y has power sum s_y / r_y^a.  Where some s_y with
+r_y > 0 is below the smallest normal float, the factored form loses that
+output, and the call averages F over the posterior columns instead
+(`_posterior_average`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -57,6 +71,13 @@ class EntropyPair:
     (Shannon's is ("shannon", 1, 1, 1), the family's order-1 limit).  It is
     no constructor argument: a custom pair, or a `dataclasses.replace` copy,
     has None whatever its name, and only the generic functional takes it.
+
+    `posterior_average(P, W)` is set the same way, from the constants F is
+    built from, and is None on every other pair.  For prior columns P
+    (|X|, N) and a channel matrix W (|X|, |Y|) it gives, for each column
+    p, sum_y p_Y(y) F(p_{X|Y=y}) over the outputs with mass, without
+    forming the posteriors (see the module docstring); the capacity oracle
+    reads it.
     """
 
     name: str
@@ -67,6 +88,8 @@ class EntropyPair:
     eta_domain: tuple[float, float]
     alpha: float | None = None
     row: tuple[str, float, float, float] | None = field(
+        default=None, init=False, compare=False, repr=False)
+    posterior_average: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
         default=None, init=False, compare=False, repr=False)
 
     def eta_checked(self, t: float) -> float:
@@ -88,18 +111,30 @@ class MiReport:
 
 
 def _shannon_core(p: np.ndarray):
-    # one full-size temporary, not three: the oracle calls this on
-    # 0.5 MB posterior blocks, and each freed one can make glibc's malloc
-    # give the heap back and fault it in again on the next block
-    terms = np.where(p > 0.0, p, 1.0)
-    np.log(terms, out=terms)
+    # one full-size temporary, not three: the oracle calls this on blocks
+    # of output marginals, and each freed one can make glibc's malloc give
+    # the heap back and fault it in again on the next block.  The mask
+    # pass is taken only where p has a zero (`initial` admits an empty p).
+    if p.min(initial=1.0) > 0.0:
+        terms = np.log(p)
+    else:
+        terms = np.where(p > 0.0, p, 1.0)
+        np.log(terms, out=terms)
     terms *= p
     return -terms.sum(axis=0)
 
 
-def _built_in(pair: EntropyPair, *row) -> EntropyPair:
-    """`pair` with its measure's row set: the one place a row is written."""
+def _shannon_average(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """H(X) + H(Y|X) - H(Y) at each prior column: the joint's entropy less
+    the output's, which is the output-weighted posterior entropy."""
+    return _shannon_core(p) + _shannon_core(w.T) @ p - _shannon_core(w.T @ p)
+
+
+def _built_in(pair: EntropyPair, row: tuple, average) -> EntropyPair:
+    """`pair` with its measure's row and posterior average set: the one
+    place either is written."""
     object.__setattr__(pair, "row", row)
+    object.__setattr__(pair, "posterior_average", average)
     return pair
 
 
@@ -111,8 +146,12 @@ def shannon_pair() -> EntropyPair:
         eta=lambda t: t,
         eta_slope=lambda t: 1.0,
         eta_domain=(-np.inf, np.inf),
-    ), "shannon", 1.0, 1.0, 1.0)
+    ), ("shannon", 1.0, 1.0, 1.0), _shannon_average)
 
+
+#: The smallest normal float: a power sum s_y below it has lost digits,
+#: and the posterior average takes the posterior columns instead.
+_TINY = np.finfo(np.float64).tiny
 
 #: The row (beta, b, kappa) of each order-a measure, as a function of the
 #: order (see the module docstring); b is written out, as a * beta rounds.
@@ -139,6 +178,17 @@ def _power_pair(measure: str, alpha: float) -> EntropyPair:
     def grad_f(p: np.ndarray) -> np.ndarray:
         return sign * b * (p ** a).sum(axis=0) ** (beta - 1.0) * p ** (a - 1.0)
 
+    def average(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+        r, s = w.T @ p, (w ** a).T @ p ** a
+        if not s.min() >= _TINY:
+            if np.any((s < _TINY) & (r > 0.0)):
+                return _posterior_average(F, p, w)
+            r = np.where(r > 0.0, r, 1.0)  # an output without mass has s = 0
+        terms = s if beta == 1.0 else s ** beta
+        if b != 1.0:  # Arimoto, where b = 1: r cancels
+            terms *= r ** (1.0 - b)
+        return sign * terms.sum(axis=0)
+
     return _built_in(EntropyPair(
         name=f"{measure}({_order_text(a)})",
         F=F,
@@ -147,7 +197,7 @@ def _power_pair(measure: str, alpha: float) -> EntropyPair:
         eta_slope=lambda t: kappa / t,
         eta_domain=(0.0, np.inf) if a < 1.0 else (-np.inf, 0.0),
         alpha=a,
-    ), measure, sign, beta, b)
+    ), (measure, sign, beta, b), average)
 
 
 def arimoto_pair(alpha: float) -> EntropyPair:
@@ -182,6 +232,22 @@ def conditional_entropy(pair: EntropyPair, p_x: Pmf, w: Channel) -> float:
     post = posterior(p_x, w)
     f_cols = _core_values(pair, post.cols)
     return pair.eta_checked(float(np.sum(post.p_y[post.support] * f_cols)))
+
+
+def _posterior_average(F, p: np.ndarray, w: np.ndarray,
+                       work: np.ndarray | None = None) -> np.ndarray:
+    """sum_y p_Y(y) F(p_{X|Y=y}) for prior columns p (|X|, N), with F run
+    once on the (|X|, |Y|, N) block of posterior columns, the N priors on
+    the last, contiguous axis so that every elementwise pass runs long
+    inner loops however few the outputs.  Outputs with no mass get no
+    weight.  The block is written into `work`, a flat array of at least
+    |X| |Y| N floats, where given."""
+    p_y = w.T @ p  # (ny, N)
+    shape = w.shape + p.shape[1:]
+    out = None if work is None else work[: math.prod(shape)].reshape(shape)
+    cols = np.multiply(p[:, None, :], w[:, :, None], out=out)
+    cols /= np.where(p_y > 0.0, p_y, 1.0)  # posterior columns, 0 where p_y = 0
+    return np.where(p_y > 0.0, p_y * F(cols), 0.0).sum(axis=0)
 
 
 def mutual_information(pair: EntropyPair, p_x: Pmf, w: Channel) -> MiReport:

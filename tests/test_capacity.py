@@ -2,8 +2,10 @@
 
 import dataclasses
 import gc
+import importlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from genmi import (
     Diverged,
     DomainError,
     EntropyPair,
+    NonFinite,
     SolverConfig,
     TooLarge,
     UnsupportedSpec,
@@ -23,6 +26,7 @@ from genmi import (
     conditional_entropy,
     eval_functional,
     fb_spec,
+    fehr_berens_pair,
     generic_spec,
     hayashi_pair,
     hayashi_spec,
@@ -40,6 +44,10 @@ from genmi import (
 from genmi import capacity, variational
 from genmi.capacity import _batch_mi, _grid_chunks
 from genmi.io import parse_channel_text, random_channel_text
+from genmi.simplex import posterior
+
+# the module: the package's `entropy` is the function of that name
+entropy_module = importlib.import_module("genmi.entropy")
 
 from conftest import SCALAR_ONLY_PAIRS, binary_entropy, rand_channel
 
@@ -899,6 +907,67 @@ class TestBatchMi:
             got = _batch_mi(spec, chunk, w.rows, work)
             assert np.array_equal(got, _batch_mi(spec, chunk, w.rows))
 
+    @pytest.mark.parametrize("spec", KERNEL_SPECS,
+                             ids=lambda s: f"{s.kind}-{s.alpha}" if s.alpha else s.kind)
+    def test_posterior_average_is_f_averaged_over_the_posteriors(self, monkeypatch, spec):
+        # the factored form itself, never the posterior columns it falls back to
+        monkeypatch.setattr(entropy_module, "_posterior_average", None)
+        rng, wide = np.random.default_rng(151), np.random.default_rng(157)
+        for w in (zero_mass_column_channel(), rand_channel(rng, 3, 5),
+                  rand_channel(wide, 3, 16), rand_channel(wide, 4, 9)):
+            # grids with rows that hold one and two exact zeros
+            grid = _lex_grid(w.nx, 6 if w.nx == 3 else 4)
+            priors = np.vstack([grid, rng.dirichlet(np.ones(w.nx), size=5)])
+            got = spec.pair.posterior_average(priors.T, w.rows)
+            assert got.shape == (priors.shape[0],)
+            for p, value in zip(priors, got):
+                assert value == pytest.approx(_averaged_f(spec.pair, p, w), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("a", [0.05, 300.0])
+    def test_posterior_average_at_extreme_orders(self, monkeypatch, a):
+        # at order 300 the power sums of most outputs underflow, and the
+        # call takes the posterior columns instead
+        calls = []
+        fallback = entropy_module._posterior_average
+        monkeypatch.setattr(entropy_module, "_posterior_average",
+                            lambda *args: calls.append(args) or fallback(*args))
+        w = rand_channel(np.random.default_rng(163), 4, 5)
+        priors = np.vstack([_lex_grid(4, 5), np.random.default_rng(167).dirichlet(np.ones(4), 5)])
+        pairs = [arimoto_pair(a), hayashi_pair(a)] + ([fehr_berens_pair(a)] if a > 1.0 else [])
+        for pair in pairs:
+            got = pair.posterior_average(priors.T, w.rows)
+            for p, value in zip(priors, got):
+                assert value == pytest.approx(_averaged_f(pair, p, w), rel=1e-12, abs=1e-300)
+        assert len(calls) == (len(pairs) if a > 1.0 else 0)
+
+    def test_a_replaced_pair_has_no_posterior_average(self):
+        pair = shannon_pair()
+        doubled = dataclasses.replace(pair, F=lambda p: 2.0 * pair.F(p))
+        assert pair.posterior_average is not None
+        assert doubled.posterior_average is None
+        assert dataclasses.replace(hayashi_pair(2.0), name="copy").posterior_average is None
+        w = rand_channel(np.random.default_rng(173), 3, 5)
+        grid = _lex_grid(3, 6)
+        got = _batch_mi(generic_spec(doubled), grid, w.rows)
+        assert np.allclose(got, 2.0 * _batch_mi(shannon_spec(), grid, w.rows), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS,
+                             ids=lambda s: f"{s.kind}-{s.alpha}" if s.alpha else s.kind)
+    def test_oracle_through_the_average_matches_the_posterior_route(self, spec):
+        plain = generic_spec(dataclasses.replace(spec.pair))
+        assert plain.pair.posterior_average is None
+        rng = np.random.default_rng(179)
+        for m, resolution in ((2, 1e-2), (3, 2e-2), (4, 5e-2)):
+            w = rand_channel(rng, m, 5)
+            value, p = brute_force_search(spec, w, resolution)
+            want, p_want = brute_force_search(plain, w, resolution)
+            assert abs(value - want) <= 1e-12
+            if m == 2:  # golden-section refined: the MI is flat to rounding there
+                assert np.allclose(p.probs, p_want.probs, rtol=0.0, atol=1e-6)
+            elif not np.array_equal(p.probs, p_want.probs):  # a tie within 1e-12
+                both = _batch_mi(plain, np.vstack([p.probs, p_want.probs]), w.rows)
+                assert abs(both[0] - both[1]) <= 1e-12
+
     def test_scalar_only_pair_is_unsupported(self):
         w = zero_mass_column_channel()
         for pair in SCALAR_ONLY_PAIRS:
@@ -915,6 +984,25 @@ class TestBatchMi:
             conditional_entropy(pair, uniform(3), w), abs=1e-12)
         with pytest.raises(UnsupportedSpec):
             brute_force_search(generic_spec(scalar_eta), w, 1e-1)
+
+
+def _averaged_f(pair, p, w):
+    """sum_y p_Y(y) F(p_{X|Y=y}) written out from the posterior columns."""
+    post = posterior(make_pmf(p), w)
+    return float(np.sum(post.p_y[post.support] * pair.F(post.cols)))
+
+
+@pytest.mark.parametrize("a", [1000.0, 5000.0])
+@pytest.mark.parametrize("make,nx,ny,resolution",
+                         [(arimoto_pair, 4, 5, 2e-2), (hayashi_pair, 3, 3, 1e-2)])
+def test_oracle_names_a_grid_value_that_is_not_finite(make, nx, ny, resolution, a):
+    # arimoto(1000) on random-channel 4x5 seed 3 used to report capacity
+    # inf; hayashi(1000) on 3x3 seed 3 picked a NaN in every block and
+    # failed on an empty best point instead
+    w, _ = parse_channel_text(random_channel_text(nx, ny, 3))
+    pair = make(a)
+    with pytest.raises(NonFinite, match=rf"^{re.escape(pair.name)}: .* at grid point \[[^]]+\]$"):
+        brute_force_search(generic_spec(pair), w, resolution)
 
 
 FORBIDDEN = {"_eval", "_expectation", "_loss_cells", "_outer_value", "_input_coeffs", "_coeffs",

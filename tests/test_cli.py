@@ -165,6 +165,18 @@ def test_arimoto_half_on_named_channel_converges(tmp_path):
     assert b"converged: true" in proc.stdout
 
 
+def test_oracle_value_that_is_not_finite_exits_3(tmp_path):
+    # arimoto(1000) on random-channel 4x5 seed 3 used to print capacity: inf
+    # and exit 0: its unscaled power sums underflow to 0
+    chan = tmp_path / "r453.chan"
+    chan.write_bytes(run_cli(["random-channel", "--nx", "4", "--ny", "5", "--seed", "3"]).stdout)
+    proc = run_cli(["oracle", str(chan), "--measure", "arimoto", "--alpha", "1000",
+                    "--resolution", "0.02"])
+    assert proc.returncode == 3
+    assert b"error: NonFinite: arimoto(1000): mutual information inf at grid point [" in proc.stderr
+    assert b"capacity" not in proc.stdout
+
+
 def test_alpha_score_leakage_at_a_high_order_exits_0(tmp_path):
     # the tilt of the uniform prior at order 400 used to underflow to 0
     # and exit 3 with NonFinite
