@@ -297,10 +297,10 @@ def brute_force_search(
     best_val = -math.inf
     best_p: np.ndarray | None = None
     chunk_rows = max(1, _BLOCK_CELLS // (m * w.ny))
-    # one workspace for every block's posterior columns where the pair has
-    # no posterior average: with a fresh one per block, glibc's malloc gave
-    # the heap back after each block and faulted it in again, ~1.5x slower
-    work = np.empty(m * w.ny * chunk_rows) if spec.pair.posterior_average is None else None
+    # one workspace for every block's posterior columns, on either route:
+    # with a fresh one per block, glibc's malloc gave the heap back after
+    # each block and faulted it in again, ~1.5x slower
+    work = np.empty(m * w.ny * chunk_rows)
     for chunk in _grid_chunks(m, steps, chunk_rows):
         vals = _batch_mi(spec, chunk, w.rows, work)
         i = int(np.argmax(vals))
@@ -387,19 +387,21 @@ def _batch_mi(
     pair's F reduces over axis 0, so the priors go in as (|X|, N) columns,
     copied to one memory order so that a view and a copy give the same
     bytes.  A built-in pair's posterior average reads the conditional term
-    from two channel products; any other pair's F runs on the (|X|, |Y|, N)
-    block of posterior columns, written into `work` where given
-    (`entropy._posterior_average`).  UnsupportedSpec if the pair is not
-    batched; NonFinite, naming the prior, if a value is not finite.
+    from two channel products, given F(p) so as not to take it again; any
+    other pair's F runs on the (|X|, |Y|, N) block of posterior columns
+    (`entropy._posterior_average`).  Either route writes posterior columns
+    into `work`, where given.  UnsupportedSpec if the pair is not batched;
+    NonFinite, naming the prior, if a value is not finite.
     """
     pair = spec.pair
     p_t = np.ascontiguousarray(priors.T)  # (nx, N)
     with np.errstate(divide="ignore", invalid="ignore"):
+        core = _core_values(pair, p_t)
         if pair.posterior_average is not None:
-            avg = pair.posterior_average(p_t, w)
+            avg = pair.posterior_average(p_t, w, core, work)
         else:
             avg = _posterior_average(lambda cols: _core_values(pair, cols), p_t, w, work)
-        vals = _eta_values(pair, _core_values(pair, p_t)) - _eta_values(pair, avg)
+        vals = _eta_values(pair, core) - _eta_values(pair, avg)
     finite = np.isfinite(vals)
     if not finite.all():
         i = int(np.argmin(finite))  # the first value that is not finite

@@ -29,12 +29,14 @@ It factors through the output marginal r = pW and s = p^a W^a (Blahut
 1972; Arimoto 1972).  For Shannon it is H(X) + H(Y|X) - H(Y).  For the
 family it is
 
-    sign sum_{y: r_y > 0} r_y^(1-b) s_y^beta,
+    sign sum_{y: r_y > 0} r_y sigma_y^beta,    sigma_y = s_y / r_y^a,
 
-since the posterior at y has power sum s_y / r_y^a.  Where some s_y with
-r_y > 0 is below the smallest normal float, the factored form loses that
-output, and the call averages F over the posterior columns instead
-(`_posterior_average`).
+sigma_y being the power sum of the posterior at y, which lies between 1
+and |X|^(1-a): no term can overflow, even where beta or 1 - b = -beta
+is large, as for Fehr-Berens near order 1.  For Arimoto (b = 1) a term
+is s_y^beta.  Where some s_y with r_y > 0 is below the smallest normal
+float, the factored form loses that output, and the call averages F over
+the posterior columns instead (`_posterior_average`).
 """
 
 from __future__ import annotations
@@ -72,12 +74,15 @@ class EntropyPair:
     no constructor argument: a custom pair, or a `dataclasses.replace` copy,
     has None whatever its name, and only the generic functional takes it.
 
-    `posterior_average(P, W)` is set the same way, from the constants F is
-    built from, and is None on every other pair.  For prior columns P
-    (|X|, N) and a channel matrix W (|X|, |Y|) it gives, for each column
-    p, sum_y p_Y(y) F(p_{X|Y=y}) over the outputs with mass, without
-    forming the posteriors (see the module docstring); the capacity oracle
-    reads it.
+    `posterior_average(P, W, core=None, work=None)` is set the same way,
+    from the constants F is built from, and is None on every other pair.
+    For prior columns P (|X|, N) and a channel matrix W (|X|, |Y|) it
+    gives, for each column p, sum_y p_Y(y) F(p_{X|Y=y}) over the outputs
+    with mass, without forming the posteriors (see the module docstring);
+    the capacity oracle reads it.  `core` is F(P) where the caller has it
+    (Shannon's average adds H(X) and then does not take it again), and
+    `work` is a flat buffer of at least |X| |Y| N floats for the posterior
+    columns, should the call fall back to them.
     """
 
     name: str
@@ -89,7 +94,7 @@ class EntropyPair:
     alpha: float | None = None
     row: tuple[str, float, float, float] | None = field(
         default=None, init=False, compare=False, repr=False)
-    posterior_average: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
+    posterior_average: Callable[..., np.ndarray] | None = field(
         default=None, init=False, compare=False, repr=False)
 
     def eta_checked(self, t: float) -> float:
@@ -113,21 +118,21 @@ class MiReport:
 def _shannon_core(p: np.ndarray):
     # one full-size temporary, not three: the oracle calls this on blocks
     # of output marginals, and each freed one can make glibc's malloc give
-    # the heap back and fault it in again on the next block.  The mask
-    # pass is taken only where p has a zero (`initial` admits an empty p).
-    if p.min(initial=1.0) > 0.0:
-        terms = np.log(p)
-    else:
-        terms = np.where(p > 0.0, p, 1.0)
-        np.log(terms, out=terms)
+    # the heap back and fault it in again on the next block
+    terms = np.where(p > 0.0, p, 1.0)
+    np.log(terms, out=terms)
     terms *= p
     return -terms.sum(axis=0)
 
 
-def _shannon_average(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """H(X) + H(Y|X) - H(Y) at each prior column: the joint's entropy less
-    the output's, which is the output-weighted posterior entropy."""
-    return _shannon_core(p) + _shannon_core(w.T) @ p - _shannon_core(w.T @ p)
+def _shannon_average(p: np.ndarray, w: np.ndarray, core=None, work=None) -> np.ndarray:
+    """H(X) + H(Y|X) - H(Y) at each prior column, with `core` as H(X)
+    where given: the joint's entropy less the output's, which is the
+    output-weighted posterior entropy.  It forms no posterior, so `work`
+    goes unused."""
+    if core is None:
+        core = _shannon_core(p)
+    return core + (_shannon_core(w.T) @ p - _shannon_core(w.T @ p))
 
 
 def _built_in(pair: EntropyPair, row: tuple, average) -> EntropyPair:
@@ -149,8 +154,11 @@ def shannon_pair() -> EntropyPair:
     ), ("shannon", 1.0, 1.0, 1.0), _shannon_average)
 
 
-#: The smallest normal float: a power sum s_y below it has lost digits,
-#: and the posterior average takes the posterior columns instead.
+#: The smallest normal float.  A power sum s_y below it has lost digits,
+#: and the posterior average takes the posterior columns instead.  The
+#: solver's exact steps set every prior mass below it to 0
+#: (`variational._exact_step`): sub-normal masses are worth nothing to the
+#: objective but slow every product they enter, `p @ w` about tenfold.
 _TINY = np.finfo(np.float64).tiny
 
 #: The row (beta, b, kappa) of each order-a measure, as a function of the
@@ -178,15 +186,27 @@ def _power_pair(measure: str, alpha: float) -> EntropyPair:
     def grad_f(p: np.ndarray) -> np.ndarray:
         return sign * b * (p ** a).sum(axis=0) ** (beta - 1.0) * p ** (a - 1.0)
 
-    def average(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-        r, s = w.T @ p, (w ** a).T @ p ** a
+    # above order 1 s_y <= r_y^a, so an r_y > 0 below this floor has
+    # s_y < _TINY: the call falls back without forming s
+    r_floor = _TINY ** (1.0 / a) if a > 1.0 else 0.0
+
+    def average(p: np.ndarray, w: np.ndarray, core=None, work=None) -> np.ndarray:
+        r = w.T @ p
+        if r.min() < r_floor and np.any((r < r_floor) & (r > 0.0)):
+            return _posterior_average(F, p, w, work)
+        s = (w ** a).T @ p ** a
         if not s.min() >= _TINY:
             if np.any((s < _TINY) & (r > 0.0)):
-                return _posterior_average(F, p, w)
+                return _posterior_average(F, p, w, work)
             r = np.where(r > 0.0, r, 1.0)  # an output without mass has s = 0
-        terms = s if beta == 1.0 else s ** beta
-        if b != 1.0:  # Arimoto, where b = 1: r cancels
-            terms *= r ** (1.0 - b)
+        if b == 1.0:  # Arimoto: r_y sigma_y^beta = s_y^beta
+            terms = s ** beta
+        else:  # r_y sigma_y^beta; r^a >= s >= _TINY above order 1
+            terms = s
+            terms /= r ** a
+            if beta != 1.0:
+                terms **= beta
+            terms *= r
         return sign * terms.sum(axis=0)
 
     return _built_in(EntropyPair(

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import (
+    _TINY,
     EntropyPair,
     arimoto_pair,
     fehr_berens_pair,
@@ -73,11 +74,6 @@ _CLOSED_FORM_KINDS = {"shannon": "shannon", "arimoto_a1": "arimoto", "arimoto_a2
 #: Floating-point conditions the kernels meet on purpose (log 0, 0 * inf,
 #: overflow to inf); their callers hold one `np.errstate(**_QUIET)`.
 _QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
-
-#: The smallest normal float.  The exact Shannon and Arimoto steps set
-#: every mass below it to 0: sub-normal masses are worth nothing to the
-#: objective but slow every product they enter, `p @ w` about tenfold.
-_TINY = np.finfo(np.float64).tiny
 
 #: The numeric prior ascent (`_p_numeric`): at most this many rounds per
 #: prior step, each round's step size starting at _NUMERIC_STEP.

@@ -767,6 +767,11 @@ KERNEL_SPECS = [shannon_spec()] + [
     make(a) for a in (0.5, 2.0, 3.0)
     for make in (arimoto_a1_spec, arimoto_a2_spec, hayashi_spec)
 ] + [fb_spec(2.0), fb_spec(3.0)]
+#: Orders near 1, where beta or 1 - b is large: Fehr-Berens' beta is
+#: 1/(a - 1), and r_y^(1-b) overflows where s_y^beta underflows.
+NEAR_ONE_SPECS = [fb_spec(1.01), fb_spec(1.001)] + [
+    make(a) for a in (0.999, 1.001) for make in (arimoto_a2_spec, hayashi_spec)
+]
 
 
 class TestOracleGrid:
@@ -907,11 +912,15 @@ class TestBatchMi:
             got = _batch_mi(spec, chunk, w.rows, work)
             assert np.array_equal(got, _batch_mi(spec, chunk, w.rows))
 
-    @pytest.mark.parametrize("spec", KERNEL_SPECS,
+    @pytest.mark.parametrize("spec", KERNEL_SPECS + NEAR_ONE_SPECS,
                              ids=lambda s: f"{s.kind}-{s.alpha}" if s.alpha else s.kind)
     def test_posterior_average_is_f_averaged_over_the_posteriors(self, monkeypatch, spec):
         # the factored form itself, never the posterior columns it falls back to
         monkeypatch.setattr(entropy_module, "_posterior_average", None)
+        # either route's rounding in a power sum grows beta-fold in its
+        # beta-th power: 2.5e-13 and 1.3e-13 against 50-digit values at
+        # fehr-berens(1.001), where beta = 1000
+        rel = max(1e-13, 1e-15 * spec.pair.row[2])
         rng, wide = np.random.default_rng(151), np.random.default_rng(157)
         for w in (zero_mass_column_channel(), rand_channel(rng, 3, 5),
                   rand_channel(wide, 3, 16), rand_channel(wide, 4, 9)):
@@ -921,24 +930,45 @@ class TestBatchMi:
             got = spec.pair.posterior_average(priors.T, w.rows)
             assert got.shape == (priors.shape[0],)
             for p, value in zip(priors, got):
-                assert value == pytest.approx(_averaged_f(spec.pair, p, w), rel=1e-13, abs=1e-15)
+                assert value == pytest.approx(_averaged_f(spec.pair, p, w), rel=rel, abs=1e-15)
+            # given F(P), as the oracle gives it, the average is the same
+            core = spec.pair.F(priors.T)
+            assert np.array_equal(spec.pair.posterior_average(priors.T, w.rows, core), got)
 
     @pytest.mark.parametrize("a", [0.05, 300.0])
     def test_posterior_average_at_extreme_orders(self, monkeypatch, a):
         # at order 300 the power sums of most outputs underflow, and the
-        # call takes the posterior columns instead
+        # call takes the posterior columns instead: on the random channel
+        # before forming s, as some r_y^a < _TINY, and on the uniform one,
+        # where every r_y = 0.2, after s underflows at the uniform prior
         calls = []
         fallback = entropy_module._posterior_average
         monkeypatch.setattr(entropy_module, "_posterior_average",
                             lambda *args: calls.append(args) or fallback(*args))
-        w = rand_channel(np.random.default_rng(163), 4, 5)
-        priors = np.vstack([_lex_grid(4, 5), np.random.default_rng(167).dirichlet(np.ones(4), 5)])
+        rng = np.random.default_rng(167)
+        priors = np.vstack([_lex_grid(4, 5), rng.dirichlet(np.ones(4), 5), np.full(4, 0.25)])
         pairs = [arimoto_pair(a), hayashi_pair(a)] + ([fehr_berens_pair(a)] if a > 1.0 else [])
-        for pair in pairs:
-            got = pair.posterior_average(priors.T, w.rows)
-            for p, value in zip(priors, got):
-                assert value == pytest.approx(_averaged_f(pair, p, w), rel=1e-12, abs=1e-300)
-        assert len(calls) == (len(pairs) if a > 1.0 else 0)
+        work = np.empty(4 * 5 * priors.shape[0])
+        for w in (rand_channel(np.random.default_rng(163), 4, 5), make_channel(np.full((4, 5), 0.2))):
+            for pair in pairs:
+                got = pair.posterior_average(priors.T, w.rows, None, work)
+                for p, value in zip(priors, got):
+                    assert value == pytest.approx(_averaged_f(pair, p, w), rel=1e-12, abs=1e-300)
+        assert len(calls) == (2 * len(pairs) if a > 1.0 else 0)
+        assert all(args[3] is work for args in calls)  # the caller's workspace
+
+    def test_fallback_blocks_share_one_workspace(self, monkeypatch):
+        # at order 300 every block of this grid falls back to the posterior
+        # columns: one workspace serves them all
+        works = []
+        fallback = entropy_module._posterior_average
+        monkeypatch.setattr(entropy_module, "_posterior_average",
+                            lambda *args: works.append(args[3]) or fallback(*args))
+        monkeypatch.setattr(capacity, "_BLOCK_CELLS", 4 * 5 * 50)  # 50-row blocks
+        w = rand_channel(np.random.default_rng(181), 4, 5)
+        brute_force_search(hayashi_spec(300.0), w, 1e-1)
+        assert len(works) == math.ceil(math.comb(13, 3) / 50)
+        assert all(isinstance(work, np.ndarray) and work is works[0] for work in works)
 
     def test_a_replaced_pair_has_no_posterior_average(self):
         pair = shannon_pair()
@@ -951,7 +981,7 @@ class TestBatchMi:
         got = _batch_mi(generic_spec(doubled), grid, w.rows)
         assert np.allclose(got, 2.0 * _batch_mi(shannon_spec(), grid, w.rows), rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("spec", KERNEL_SPECS,
+    @pytest.mark.parametrize("spec", KERNEL_SPECS + NEAR_ONE_SPECS,
                              ids=lambda s: f"{s.kind}-{s.alpha}" if s.alpha else s.kind)
     def test_oracle_through_the_average_matches_the_posterior_route(self, spec):
         plain = generic_spec(dataclasses.replace(spec.pair))
