@@ -176,12 +176,8 @@ def _power_pair(measure: str, alpha: float) -> EntropyPair:
     beta, b, kappa = _POWER_ROWS[measure](a)
     sign = 1.0 if a < 1.0 else -1.0
 
-    if beta == 1.0:  # Hayashi, Fehr-Berens at order 2: no `** 1.0` pass
-        def F(p: np.ndarray):
-            return sign * (p ** a).sum(axis=0)
-    else:
-        def F(p: np.ndarray):
-            return sign * (p ** a).sum(axis=0) ** beta
+    def F(p: np.ndarray):
+        return sign * (p ** a).sum(axis=0) ** beta
 
     def grad_f(p: np.ndarray) -> np.ndarray:
         return sign * b * (p ** a).sum(axis=0) ** (beta - 1.0) * p ** (a - 1.0)

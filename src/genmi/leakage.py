@@ -6,6 +6,11 @@ reduction in optimal risk).  Multiplicative leakage scales the log-ratio
 of the with-observation and without-observation optima by a sign-bearing
 constant c; it is defined only when the optimal values involved share a
 single sign.
+
+A finite action set needs no posterior: the optimum after output y,
+weighted by p_Y(y), is the best action's entry of the joint column
+p(x) W(y|x) times the gain matrix, so the posterior value is one product
+and one max (or min) per output, summed.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, MixedSign, ZeroDenominator
 from .scoring import GainMatrix, ScoringRule, expected_score, optimal_response
-from .simplex import Channel, Pmf, posterior
+from .simplex import Channel, Pmf, _joint, posterior
 
 
 @dataclass(frozen=True)
@@ -34,26 +39,26 @@ class LeakageReport:
     additive: float
 
 
-def evsi(m: GainMatrix, p_x: Pmf, w: Channel) -> LeakageReport:
-    """Additive value of observing the output, for a finite action set."""
-    prior, _, post = _matrix_values(m, p_x, w)
-    additive = post - prior if m.kind == "gain" else prior - post
+def _report(kind: str, prior: float, _per_y, post: float) -> LeakageReport:
+    """The report of a (prior, per-output, posterior) optimum triple: the
+    additive leakage is post - prior for a gain, prior - post for a loss."""
+    additive = post - prior if kind == "gain" else prior - post
     return LeakageReport(prior_value=prior, posterior_value=post, additive=additive)
 
 
-def _best(m: GainMatrix, per_action: np.ndarray):
-    """The optimum over the actions (last axis): max for gains, min for losses."""
-    return per_action.max(axis=-1) if m.kind == "gain" else per_action.min(axis=-1)
+def evsi(m: GainMatrix, p_x: Pmf, w: Channel) -> LeakageReport:
+    """Additive value of observing the output, for a finite action set."""
+    return _report(m.kind, *_matrix_values(m, p_x, w))
 
 
 def _matrix_values(m: GainMatrix, p_x: Pmf, w: Channel):
-    """Prior optimum, per-output optima and their average, for a finite action set."""
+    """Prior optimum, the p_Y-weighted optimum after each output (0 for an
+    output without mass) and their sum, for a finite action set."""
     if m.nx != len(p_x):
         raise DimensionMismatch("gain matrix rows must match the prior alphabet")
-    prior = float(_best(m, p_x.probs @ m.values))
-    post = posterior(p_x, w)
-    per_y = _best(m, post.cols.T @ m.values)
-    return prior, per_y, float(post.p_y[post.support] @ per_y)
+    best = np.max if m.kind == "gain" else np.min
+    per_y = best(_joint(p_x, w).T @ m.values, axis=-1)
+    return float(best(p_x.probs @ m.values)), per_y, float(per_y.sum())
 
 
 def _scoring_values(rule: ScoringRule, p_x: Pmf, w: Channel):
@@ -69,13 +74,7 @@ def _scoring_values(rule: ScoringRule, p_x: Pmf, w: Channel):
 
 def evsi_scoring(rule: ScoringRule, p_x: Pmf, w: Channel) -> LeakageReport:
     """Additive value of the observation over the pmf action space."""
-    prior, _, post_value = _scoring_values(rule, p_x, w)
-    additive = post_value - prior if rule.kind == "gain" else prior - post_value
-    return LeakageReport(
-        prior_value=prior,
-        posterior_value=post_value,
-        additive=additive,
-    )
+    return _report(rule.kind, *_scoring_values(rule, p_x, w))
 
 
 def mevsi_scoring(rule: ScoringRule, p_x: Pmf, w: Channel) -> float:
@@ -109,6 +108,10 @@ def mevsi_matrix(m: GainMatrix, p_x: Pmf, w: Channel, c: float | None = None) ->
 
 
 def _log_ratio(c: float, prior: float, per_y_values, posterior_value: float) -> float:
+    """c * log(posterior_value / prior), where the prior optimum and the
+    per-output optima (plain, or weighted by p_Y as a finite action set's
+    are) must not take both signs; a zero, as an output without mass
+    gives, takes neither."""
     vals = np.append(per_y_values, prior)
     if (vals > 0.0).any() and (vals < 0.0).any():
         raise MixedSign("optimal values take both signs on this instance")

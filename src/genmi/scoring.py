@@ -25,7 +25,7 @@ import numpy as np
 
 from .entropy import _batched
 from .errors import DimensionMismatch, DomainError, NonFinite
-from .simplex import Pmf, _checked_order, alpha_tilt
+from .simplex import Pmf, _checked_order, _freeze, alpha_tilt
 
 #: Interior shift applied to q before evaluating core gradients.
 GRAD_MIX = 1e-12
@@ -58,14 +58,13 @@ class GainMatrix:
     kind: str = "gain"
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
+        v = _freeze(self.values)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise DimensionMismatch("gain matrix must be a non-empty 2-d matrix")
         if not np.all(np.isfinite(v)):
             raise NonFinite("gain matrix entries must be finite")
         if self.kind not in ("gain", "loss"):
             raise DomainError(f"matrix kind must be 'gain' or 'loss', got {self.kind!r}")
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @property
@@ -137,10 +136,13 @@ def log_score_rule() -> ScoringRule:
 
 
 def log_loss_rule() -> ScoringRule:
-    def score(x: int, q: np.ndarray) -> float:
-        return -math.log(q[x]) if q[x] > 0.0 else math.inf
+    """Loss -log q(x): the log score subtracted from 0, with its responder."""
+    return _loss("log-loss", 0.0, log_score_rule())
 
-    return ScoringRule("log-loss", "loss", score, lambda p: p)
+
+def _loss(name: str, const: float, gain: ScoringRule) -> ScoringRule:
+    """The loss const - gain score, which the gain rule's responder minimizes."""
+    return ScoringRule(name, "loss", lambda x, q: const - gain.score(x, q), gain.responder)
 
 
 def pseudo_spherical_rule(alpha: float) -> ScoringRule:
@@ -177,18 +179,10 @@ def power_rule(alpha: float) -> ScoringRule:
 
 
 def alpha_loss_rule(alpha: float) -> ScoringRule:
-    """Loss (a/(a-1)) (1 - q(x)^((a-1)/a)); optimal response is the tilt, not the belief."""
+    """Loss (a/(a-1)) (1 - q(x)^((a-1)/a)): the alpha score subtracted from
+    a/(a-1), so its optimal response is the same tilt, not the belief."""
     a = _checked_order(alpha)
-
-    def score(x: int, q: np.ndarray) -> float:
-        if q[x] == 0.0 and a < 1.0:
-            return math.inf
-        return (a / (a - 1.0)) * (1.0 - q[x] ** ((a - 1.0) / a))
-
-    return ScoringRule(
-        "alpha-loss", "loss", score,
-        lambda p: alpha_tilt(Pmf(p), a).probs,
-    )
+    return _loss("alpha-loss", a / (a - 1.0), alpha_score_rule(a))
 
 
 def alpha_score_rule(alpha: float) -> ScoringRule:

@@ -2,7 +2,10 @@
 
 All containers are immutable (frozen dataclasses over read-only
 arrays) and every operation is a pure function, so objects can be shared
-freely across threads.  Conventions used throughout the package:
+freely across threads.  A constructor copies a writable input array
+(`_freeze`), so the caller's array stays writable and cannot change the
+container; a read-only one is shared.  Conventions used throughout the
+package:
 
 - 0 * log 0 = 0 and 0**a = 0 for every a > 0,
 - posteriors are only defined on outputs with positive marginal mass;
@@ -31,10 +34,16 @@ SUM_TOL = 1e-9
 CLAMP_TOL = -1e-12
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
+def _freeze(a) -> np.ndarray:
+    """`a` as a read-only C-contiguous float64 array of one dimension or
+    more.  A writable array the result would alias is copied first, so
+    freezing never locks the caller's array or lets it change the result;
+    a read-only one, such as a library container's own, is shared."""
+    v = np.ascontiguousarray(a, dtype=np.float64)
+    if v.flags.writeable and (v is a or v.base is not None):
+        v = v.copy()
+    v.flags.writeable = False
+    return v
 
 
 @dataclass(frozen=True)
@@ -44,7 +53,7 @@ class Pmf:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = _freeze(np.atleast_1d(self.probs))
+        p = _freeze(self.probs)
         if p.ndim != 1 or p.size < 1:
             raise DimensionMismatch("a pmf must be a non-empty vector")
         if not np.all(np.isfinite(p)):
@@ -74,7 +83,7 @@ class Channel:
     rows: np.ndarray
 
     def __post_init__(self):
-        w = _freeze(np.atleast_2d(self.rows))
+        w = np.atleast_2d(_freeze(self.rows))
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
             raise DimensionMismatch("a channel must be a non-empty matrix")
         for x in np.flatnonzero(~_pmf_rows(w)):
@@ -157,16 +166,22 @@ def uniform(m: int) -> Pmf:
     return Pmf(np.full(m, 1.0 / m))
 
 
-def posterior(p_x: Pmf, w: Channel) -> Posterior:
-    """Bayes inversion of (p_x, w): output marginal and posterior columns."""
+def _joint(p_x: Pmf, w: Channel) -> np.ndarray:
+    """The |X| x |Y| joint p_x(x) w(y|x) of a prior and a channel."""
     if len(p_x) != w.nx:
         raise DimensionMismatch(f"prior has {len(p_x)} entries, channel has {w.nx} rows")
-    cells = p_x.probs[:, None] * w.rows
+    return p_x.probs[:, None] * w.rows
+
+
+def posterior(p_x: Pmf, w: Channel) -> Posterior:
+    """Bayes inversion of (p_x, w): output marginal and posterior columns."""
+    cells = _joint(p_x, w)
     p_y = cells.sum(axis=0)
     support = np.flatnonzero(p_y > 0.0)
-    support.flags.writeable = False
-    return Posterior(p_y=_freeze(p_y), cols=_freeze(cells[:, support] / p_y[support]),
-                     support=support)
+    cols = cells[:, support] / p_y[support]
+    for made_here in (p_y, cols, support):  # frozen in place: nobody else holds them
+        made_here.flags.writeable = False
+    return Posterior(p_y=p_y, cols=cols, support=support)
 
 
 def alpha_tilt(p: Pmf, alpha: float) -> Pmf:

@@ -65,7 +65,7 @@ from .errors import (
     UnsupportedSpec,
 )
 from .scoring import _interior, loss_from_core
-from .simplex import Channel, Pmf, _order_text, _scaled_power
+from .simplex import Channel, Pmf, _freeze, _order_text, _scaled_power
 
 #: The built-in kinds, each with the measure (its pair's `row[0]`) its formulas are for.
 _CLOSED_FORM_KINDS = {"shannon": "shannon", "arimoto_a1": "arimoto", "arimoto_a2": "arimoto",
@@ -87,7 +87,7 @@ class QFamily:
     cols: np.ndarray  # shape (|X|, |Y|)
 
     def __post_init__(self):
-        c = np.ascontiguousarray(self.cols, dtype=np.float64)
+        c = _freeze(self.cols)
         if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
             raise DimensionMismatch("response family must be a non-empty matrix")
         if not np.all(np.isfinite(c)) or np.any(c < 0.0):
@@ -95,7 +95,6 @@ class QFamily:
         sums = c.sum(axis=0)
         if np.any(np.abs(sums - 1.0) > 1e-9):
             raise DomainError("every response column must sum to 1 within 1e-9")
-        c.flags.writeable = False
         object.__setattr__(self, "cols", c)
 
     @property

@@ -70,6 +70,18 @@ CASES = [
     ("leak_gain_mult",
      ["leakage", "fixtures/bsc10.chan", "--gain-matrix", "fixtures/identity_gain.gmx",
       "--multiplicative"], 0),
+    ("leak_log_loss", ["leakage", "fixtures/asym22.chan", "--rule", "log-loss"], 0),
+    ("leak_alpha_loss_half",
+     ["leakage", "fixtures/asym22.chan", "--rule", "alpha-loss", "--alpha", "0.5",
+      "--prior", "0.3,0.7"], 0),
+    ("leak_alpha_loss_2",
+     ["leakage", "fixtures/asym22.chan", "--rule", "alpha-loss", "--alpha", "2"], 0),
+    ("leak_loss_matrix",
+     ["leakage", "fixtures/asym22.chan", "--gain-matrix", "fixtures/zero_one_loss.gmx",
+      "--prior", "0.3,0.7"], 0),
+    ("leak_loss_matrix_mult",
+     ["leakage", "fixtures/bsc10.chan", "--gain-matrix", "fixtures/zero_one_loss.gmx",
+      "--multiplicative"], 0),
     ("oracle_shannon_bsc",
      ["oracle", "fixtures/bsc10.chan", "--measure", "shannon", "--resolution", "0.001"], 0),
     ("oracle_arimoto",

@@ -1,10 +1,20 @@
-"""The portable fixture generator against a pure-Python SplitMix64."""
+"""The portable fixture generator against a pure-Python SplitMix64, and the
+parsers' errors."""
+
+import re
 
 import numpy as np
 import pytest
 
-from genmi import DomainError, make_channel, make_pmf
-from genmi.io import _splitmix64_words, format_float, format_vector, random_channel_text
+from genmi import DomainError, ParseError, make_channel, make_pmf
+from genmi.io import (
+    _splitmix64_words,
+    format_float,
+    format_vector,
+    parse_channel_text,
+    parse_gain_text,
+    random_channel_text,
+)
 
 MASK = (1 << 64) - 1
 
@@ -64,3 +74,49 @@ def test_first_words_of_the_stream():
 def test_empty_shape_rejected(nx, ny):
     with pytest.raises(DomainError):
         random_channel_text(nx, ny, 1)
+
+
+KEYED = "x 2\ny 2\nrow 1 0\nrow 0 1\n"
+
+#: (parser, document, the ParseError message it gives), one per branch
+PARSE_ERRORS = [
+    (parse_channel_text, "", "channel file is empty"),
+    (parse_channel_text, "# a comment\n\n", "channel file is empty"),
+    (parse_channel_text, "0.9 0.1\n0.5\n", "delimited channel rows have inconsistent lengths"),
+    (parse_channel_text, "0.9 0.1\n0.5 half\n", "channel row: expected numbers, got '0.5 half'"),
+    (parse_channel_text, KEYED + "rows 1 0\n", "unknown channel-file key 'rows'"),
+    (parse_channel_text, "y 2\nrow 1 0\n", "keyed channel file must declare x and y sizes"),
+    (parse_channel_text, "x 1\nrow 1 0\n", "keyed channel file must declare x and y sizes"),
+    (parse_channel_text, "x 1 2\ny 2\n", "x takes exactly one value"),
+    (parse_channel_text, "x 1\ny\n", "y takes exactly one value"),
+    (parse_channel_text, "x 1.5\ny 2\n", "x must be an integer"),
+    (parse_channel_text, "x 1\ny 0\n", "y must be at least 1"),
+    (parse_channel_text, "x 2\ny 2\nrow 1 0\n", "expected 2 rows, found 1"),
+    (parse_channel_text, "x 2\ny 2\nrow 1 0\nrow 1\n", "every row must have 2 entries"),
+    (parse_channel_text, "x 1\ny 2\nrow 1 zero\n", "row: expected numbers, got '1 zero'"),
+    (parse_channel_text, KEYED + "prior 1\n", "prior must have 2 entries"),
+    (parse_channel_text, KEYED + "prior half half\n", "prior: expected numbers"),
+    (parse_gain_text, "", "gain-matrix file is empty"),
+    (parse_gain_text, "kind utility\nrow 1\n", "kind must be 'gain' or 'loss'"),
+    (parse_gain_text, "kind gain loss\nrow 1\n", "kind must be 'gain' or 'loss'"),
+    (parse_gain_text, "c 1 2\nrow 1\n", "c takes exactly one value"),
+    (parse_gain_text, "c one\nrow 1\n", "c: expected numbers, got 'one'"),
+    (parse_gain_text, "kind loss\nc -1\n", "gain-matrix file has no rows"),
+    (parse_gain_text, "row 1 0\nrow 1\n", "gain-matrix rows have inconsistent lengths"),
+    (parse_gain_text, "row 1 z\n", "row: expected numbers, got '1 z'"),
+    (parse_gain_text, "1 0\ngain 1\n", "gain row: expected numbers, got 'gain 1'"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", PARSE_ERRORS,
+                         ids=[f"{p.__name__}-{i}" for i, (p, _, _) in enumerate(PARSE_ERRORS)])
+def test_parse_error(parse, text, message):
+    with pytest.raises(ParseError, match="^" + re.escape(message)):
+        parse(text)
+
+
+def test_the_documents_the_errors_start_from_parse():
+    chan, prior = parse_channel_text(KEYED + "prior 0.5 0.5\n")
+    assert chan.rows.tolist() == [[1.0, 0.0], [0.0, 1.0]] and prior.probs.tolist() == [0.5, 0.5]
+    matrix, c = parse_gain_text("kind loss\nc -1\nrow 1 0\n0 1\n")
+    assert (matrix.kind, c, matrix.values.tolist()) == ("loss", -1.0, [[1.0, 0.0], [0.0, 1.0]])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import genmi.leakage
 from genmi import (
     DimensionMismatch,
     DomainError,
@@ -27,6 +28,7 @@ from genmi import (
     arimoto_pair,
     hayashi_pair,
     mutual_information,
+    posterior,
     shannon_pair,
     uniform,
 )
@@ -106,6 +108,46 @@ class TestEvsiMatrix:
     def test_row_count_must_match_the_prior(self, value, bsc10, uniform2):
         with pytest.raises(DimensionMismatch, match="gain matrix rows must match"):
             value(identity_gain(3), uniform2, bsc10)
+
+    @pytest.mark.parametrize("value", [evsi, mevsi_matrix],
+                             ids=lambda f: f.__name__)
+    def test_prior_must_match_the_channel(self, value, bsc10):
+        with pytest.raises(DimensionMismatch, match="prior has 3 entries, channel has 2 rows"):
+            value(identity_gain(3), uniform(3), bsc10)
+
+    @pytest.mark.parametrize("value", [evsi, mevsi_matrix],
+                             ids=lambda f: f.__name__)
+    def test_needs_no_posterior(self, value, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a gain matrix's leakage formed a posterior")
+
+        monkeypatch.setattr(genmi.leakage, "posterior", refuse)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            p, w = rand_pmf(rng, 3), rand_channel(rng, 3, 4)
+            value(GainMatrix(rng.random((3, 2))), p, w)
+
+    def test_agrees_with_the_posterior_average(self):
+        # sum_y p_Y(y) best_a E_{X|Y=y}[g(X, a)] over the posterior columns
+        rng = np.random.default_rng(7)
+        for kind, best in (("gain", np.max), ("loss", np.min)):
+            for _ in range(50):
+                m = GainMatrix(rng.normal(size=(3, 4)), kind=kind)
+                p, w = rand_pmf(rng, 3), rand_channel(rng, 3, 5)
+                post = posterior(p, w)
+                want = float(post.p_y[post.support] @ best(post.cols.T @ m.values, axis=1))
+                assert evsi(m, p, w).posterior_value == pytest.approx(want, abs=1e-12)
+
+    def test_an_output_without_mass_counts_zero(self):
+        # output 2 is never produced; the sign test ignores its zero
+        w = make_channel([[0.8, 0.2, 0.0], [0.3, 0.7, 0.0]])
+        p = make_pmf([0.4, 0.6])
+        report = evsi(identity_gain(2), p, w)
+        assert report.posterior_value == pytest.approx(0.32 + 0.42, abs=1e-12)
+        # a non-positive matrix, so c = -1: prior optimum -1.4, weighted
+        # optima -0.68 and -0.58 and 0 on the output without mass
+        got = mevsi_matrix(GainMatrix(-np.eye(2) - 1.0), p, w)
+        assert got == pytest.approx(-math.log((0.68 + 0.58) / 1.4), abs=1e-12)
 
 
 class TestEvsiScoring:

@@ -373,6 +373,39 @@ class TestCoreLoss:
                     assert at_q >= at_p - 1e-8
 
 
+#: (id, loss rule, its gain rule, the constant, the loss written out in q(x))
+LOSS_RULES = [("log", log_loss_rule(), log_score_rule(), 0.0, lambda t: -math.log(t))] + [
+    (f"alpha({a})", alpha_loss_rule(a), alpha_score_rule(a), a / (a - 1.0),
+     lambda t, a=a: a / (a - 1.0) * (1.0 - t ** ((a - 1.0) / a)))
+    for a in (0.3, 0.5, 0.9, 1.5, 2.0, 3.7)
+]
+
+
+class TestLossRules:
+    """A loss rule is its gain rule subtracted from a constant."""
+
+    @pytest.mark.parametrize("loss, gain, const, written", [r[1:] for r in LOSS_RULES],
+                             ids=[r[0] for r in LOSS_RULES])
+    def test_loss_is_the_shifted_gain(self, loss, gain, const, written):
+        rng = np.random.default_rng(8)
+        assert (loss.kind, gain.kind) == ("loss", "gain")
+        for _ in range(50):
+            p, q = rand_pmf(rng, 4), rand_pmf(rng, 4)
+            np.testing.assert_array_equal(optimal_response(loss, p).probs,
+                                          optimal_response(gain, p).probs)
+            assert expected_score(loss, p, q) == pytest.approx(
+                const - expected_score(gain, p, q), rel=1e-12, abs=1e-12)
+            for x in range(4):
+                assert loss.score(x, q.probs) == pytest.approx(written(q.probs[x]),
+                                                               rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("loss", [log_loss_rule(), alpha_loss_rule(0.5)],
+                             ids=["log-loss", "alpha-loss(0.5)"])
+    def test_an_announced_zero_costs_infinity(self, loss):
+        assert loss.score(0, np.array([0.0, 1.0])) == math.inf
+        assert expected_score(loss, make_pmf([0.5, 0.5]), make_pmf([0.0, 1.0])) == math.inf
+
+
 class TestCatalog:
     def test_rule_constants(self):
         rules = {rule.name: rule for rule in all_rules(2.0)}

@@ -11,6 +11,7 @@ from genmi import (
     Channel,
     DimensionMismatch,
     DomainError,
+    GainMatrix,
     GenmiError,
     Pmf,
     NegativeMass,
@@ -21,6 +22,8 @@ from genmi import (
     posterior,
     uniform,
 )
+
+from genmi.variational import QFamily
 
 from conftest import rand_channel, rand_pmf
 
@@ -125,6 +128,52 @@ class TestChannelRows:
             DomainError, "pmf entries must sum to 1 within 1e-9")
 
 
+#: (container, its array field, a valid input for it)
+CONTAINERS = [
+    (Pmf, "probs", [0.5, 0.5]),
+    (Channel, "rows", [[0.9, 0.1], [0.2, 0.8]]),
+    (QFamily, "cols", [[0.9, 0.1], [0.1, 0.9]]),
+    (GainMatrix, "values", [[1.0, 0.0], [0.0, 1.0]]),
+]
+
+
+class TestContainersCopyWritableInput:
+    @pytest.mark.parametrize("cls, field, values", CONTAINERS,
+                             ids=[c[0].__name__ for c in CONTAINERS])
+    def test_callers_array_stays_writable_and_apart(self, cls, field, values):
+        a = np.array(values)
+        obj = cls(a)
+        a[0] = 0.25  # raised "assignment destination is read-only" when frozen in place
+        frozen = getattr(obj, field)
+        np.testing.assert_array_equal(frozen, values)
+        assert not frozen.flags.writeable
+
+    @pytest.mark.parametrize("cls, field, values", CONTAINERS,
+                             ids=[c[0].__name__ for c in CONTAINERS])
+    def test_a_view_of_the_callers_array_is_copied(self, cls, field, values):
+        a = np.array([values, values])
+        obj = cls(a[1])
+        a[1] = 0.25
+        np.testing.assert_array_equal(getattr(obj, field), values)
+
+    @pytest.mark.parametrize("cls, field, values", CONTAINERS,
+                             ids=[c[0].__name__ for c in CONTAINERS])
+    def test_a_read_only_array_is_shared(self, cls, field, values):
+        a = np.array(values)
+        a.flags.writeable = False
+        assert getattr(cls(a), field) is a
+
+    def test_a_scalar_pmf_has_one_entry(self):
+        assert Pmf(1.0).probs.tolist() == [1.0]
+        assert Pmf(np.array(1.0)).probs.shape == (1,)
+
+    def test_a_vector_channel_has_one_row(self):
+        v = np.array([0.25, 0.75])
+        w = Channel(v)
+        v[0] = 0.5
+        assert w.rows.tolist() == [[0.25, 0.75]]
+
+
 class TestPosterior:
     def test_identity_channel(self, uniform2):
         post = posterior(uniform2, make_channel(np.eye(2)))
@@ -162,6 +211,10 @@ class TestPosterior:
         np.testing.assert_array_equal(post.p_y, [1.0, 0.0])
         assert post.support.tolist() == [0]
         assert post.cols.shape == (2, 1)
+
+    def test_fields_are_read_only(self, bsc10, uniform2):
+        post = posterior(uniform2, bsc10)
+        assert not any(a.flags.writeable for a in (post.p_y, post.cols, post.support))
 
     def test_reconstruction_property(self):
         rng = np.random.default_rng(42)
