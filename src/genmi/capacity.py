@@ -9,11 +9,12 @@ exponentiated-gradient ascent on the analytic gradient instead, with a
 fixed round budget and step size and no setting of its own.  Solving
 `generic_spec(spec.pair)` cross-checks a built-in measure's exact step.
 Below order 1 that ascent can stop short of the capacity while the loop
-reports convergence.  Each iteration reads
-the objective and the coefficients of the next prior step together: for
-an exact step from matrix-vector products at the posterior (the
-Blahut-Arimoto form, `variational._coeff_kernel`), otherwise from one
-loss-cell table.
+reports convergence.  Each iteration reads the objective and the
+coefficients of the next prior step together (`variational._coeff_kernel`):
+for an exact step both from the matrix-vector products at the posterior
+(the Blahut-Arimoto form; for Shannon I(p) = sum_x p(x) D(W_x || pW)),
+without forming F(p) or calling eta; otherwise from one loss-cell table,
+with G = eta(F(p)) - eta(E) from the pair.
 
 The plain alternation converges linearly.  So each prior step t = T(p),
 exact or numeric, is followed by an extrapolated trial x proportional
@@ -74,9 +75,7 @@ from .variational import (
     FunctionalSpec,
     _coeff_kernel,
     _exact_step,
-    _outer_value,
     _p_numeric,
-    _table_coeffs,
 )
 
 #: Largest simplex grid the oracle will enumerate: a bound on its time,
@@ -105,11 +104,11 @@ class SolverConfig:
 
     `epsilon` is the absolute objective-gain threshold (must lie in
     (0, 1)); `relative` switches to |gain| / max(1, |value|) as an
-    opt-in.  `max_iter` is an integer of at least 1.  Each setting out of
-    range raises DomainError.  The spec's kind picks the prior step: the
-    exact one for every built-in kind, the numeric ascent for the generic
-    kind, whose rounds and step size are fixed
-    (`variational._NUMERIC_ROUNDS`, `_NUMERIC_STEP`).
+    opt-in.  `max_iter` is an integer of at least 1 (not a bool), and
+    `p0` a Pmf or None.  Each setting out of range raises DomainError.
+    The spec's kind picks the prior step: the exact one for every built-in
+    kind, the numeric ascent for the generic kind, whose rounds and step
+    size are fixed (`variational._NUMERIC_ROUNDS`, `_NUMERIC_STEP`).
     """
 
     spec: FunctionalSpec
@@ -121,8 +120,11 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
-            raise DomainError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
+        n = self.max_iter
+        if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
+            raise DomainError(f"max_iter must be an integer of at least 1, got {n!r}")
+        if not (self.p0 is None or isinstance(self.p0, Pmf)):
+            raise DomainError(f"p0 must be a Pmf or None, got {type(self.p0).__name__}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,10 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
     prior step, exact or numeric, the round also tries the extrapolated
     prior of `_extrapolated` and keeps the better of the two, so
     `iterations` counts rounds of up to two kernel calls; `gap` may be
-    looser at an extrapolated prior than at a plain one.
+    looser at an extrapolated prior than at a plain one.  Each kernel call
+    gives the objective with the next step's coefficients: from its own
+    products for an exact step, through the pair's eta and F for the
+    generic kind.
     """
     spec = cfg.spec
     p_x = cfg.p0 if cfg.p0 is not None else uniform(w.nx)
@@ -160,26 +165,24 @@ def solve(cfg: SolverConfig, w: Channel) -> SolveResult:
     wm = w.rows
     converged = False
     with np.errstate(**_QUIET):
-        # c and E at the response step of p: matrix-vector products for an
+        # c and G at the response step of p: matrix-vector products for an
         # exact step, the loss-cell table otherwise
-        coeffs = (_coeff_kernel if exact else _table_coeffs)(spec, wm)
+        coeffs = _coeff_kernel(spec, wm)
         p_exact = _exact_step(spec) if exact else None
         p = p_x.probs
-        c, e = coeffs(p)
-        trace = [_outer_value(spec, p, e)]
+        c, value = coeffs(p)
+        trace = [value]
         for _ in range(cfg.max_iter):
             t = p_exact(c) if exact else _p_numeric(spec, c, p)
-            c, e = coeffs(t)
-            value = _outer_value(spec, t, e)
+            c, value = coeffs(t)
             # at mu = 1 the trial is t itself: kept without a kernel call
             kept = mu == 1.0
             x = None if kept else _extrapolated(p, t, mu)
             if x is not None:
-                c_x, e_x = coeffs(x)
-                value_x = _outer_value(spec, x, e_x)
+                c_x, value_x = coeffs(x)
                 kept = value_x >= value
                 if kept:
-                    t, c, e, value = x, c_x, e_x, value_x
+                    t, c, value = x, c_x, value_x
             mu = min(mu * _MU_GROW, _MU_MAX) if kept else max(mu / _MU_CUT, 1.0)
             p = t
             if value < trace[-1] - 1e-8:
@@ -223,16 +226,16 @@ def _extrapolated(p: np.ndarray, t: np.ndarray, mu: float) -> np.ndarray | None:
     np.subtract(log_t, ratio, out=ratio)
     if kept < t.size:  # where t and p are both 0 the difference is NaN
         ratio = np.where(t > 0.0, ratio, -math.inf)
-    top = ratio.max()
+    top = np.maximum.reduce(ratio)
     if top == math.inf:
         return None
     ratio[ratio >= top - _RATIO_TIE] = top
     ratio -= top
     ratio *= mu - 1.0
     ratio += log_t  # log x, up to a constant
-    ratio -= ratio.max()
+    ratio -= np.maximum.reduce(ratio)
     x = np.exp(ratio, out=ratio)
-    x /= x.sum()
+    x /= np.add.reduce(x)
     return x if np.count_nonzero(x) == kept else None
 
 

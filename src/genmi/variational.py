@@ -25,8 +25,8 @@ pair, the same for every kind: G = eta(F(p)) - eta(E) in `_outer_value`,
 and its prior gradient eta'(F(p)) grad F(p) - eta'(E) c.  The table
 serves any response family.  At the response step itself every cell
 factors through p, and for the built-in kinds `_coeff_kernel` reads c
-and E from two matrix-vector products instead; the solver's exact
-steps use it.
+and G itself from two matrix-vector products instead, with no call to
+the pair; the solver's exact steps use it.
 
 Both maximization steps are exact for every built-in kind: the response
 step is the (tilted) posterior, and the prior step is a function of c --
@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import (
+    _POWER_ROWS,
     _TINY,
     EntropyPair,
     arimoto_pair,
@@ -299,11 +300,11 @@ def _exact_step(spec: FunctionalSpec):
 
     def step(c: np.ndarray) -> np.ndarray:
         log_p = -c if kind == "shannon" else np.log(c if sign > 0.0 else -c) / (a - 1.0)
-        top = log_p.max()
+        top = np.maximum.reduce(log_p)
         if not math.isfinite(top):
             _step_failed(kind, a, c, "prior update collapsed, no input has a finite weight,")
         p = np.exp(log_p - top)
-        p /= p.sum()
+        p /= np.add.reduce(p)
         p[p < _TINY] = 0.0
         return p
 
@@ -345,7 +346,7 @@ def _p_kkt(kind: str, a: float, h: np.ndarray, k: float) -> np.ndarray:
         fail()
     g = 1.0 / (a - 1.0)
     # the largest base (k > 0) or the smallest (k < 0) is h_ref + k t
-    h_ref = float(h.max()) if k > 0.0 else float(h.min())
+    h_ref = float((np.maximum if k > 0.0 else np.minimum).reduce(h))
     hi = h_ref / abs(k) if k < 0.0 else h_ref
     if not 0.0 < hi < math.inf:
         fail()
@@ -357,7 +358,7 @@ def _p_kkt(kind: str, a: float, h: np.ndarray, k: float) -> np.ndarray:
             u = (h == h_ref).astype(np.float64)
         else:
             u = (np.maximum(h + k * t, 0.0) * (1.0 / ref)) ** g
-        s = float(u.sum())
+        s = float(np.add.reduce(u))
         return float(u.dot(h)) / s - t, u, s
 
     lo, top = f(0.0), f(hi)
@@ -540,74 +541,96 @@ def _table_coeffs(spec: FunctionalSpec, w: np.ndarray):
 
 
 def _coeff_kernel(spec: FunctionalSpec, w: np.ndarray):
-    """`coeffs(p)` -> (c, E) at q = q_step(p) for a built-in kind, as
-    `_table_coeffs` gives them, from r = pW and s = p^a W^a.
+    """`coeffs(p)` -> (c, G) at q = q_step(p): the coefficients
+    `_table_coeffs` gives and the objective G(p, q), here I(p).  The
+    generic kind reads both from the table and `_outer_value`; a built-in
+    kind reads them from r = pW and s = p^a W^a.
 
     At the (tilted) posterior every loss cell factors through p, r, s and
     the fixed matrices W and W^a, so c takes no table: r and s, then one
     product back through W or W^a per term (Blahut 1972; Arimoto 1972).
-    For Shannon, c = -log p - sum_y w log w + W log r.  For the order-a
-    family, with the measure's row (beta, b) and the core's sign,
+    For Shannon, c = -d - log p with d = sum_y w log w - W log r, and
+    G = p . d = sum_x p(x) D(W_x || r).  For the order-a family, with the
+    measure's row (beta, b), its kappa and the core's sign,
 
         c = sign ((1-b) W sigma^beta + b p^(a-1) * W^a (r^(1-a) sigma^(beta-1))),
 
-    with sigma = s r^(-a), the order-a power sum of each posterior column.
-    Arimoto (both forms) is b = 1, where r cancels:
-    c = sign p^(a-1) * W^a s^((1-a)/a).
-    An input with p(x) = 0 gets the table's coefficient: +inf for Shannon
-    and below order 1, the terms without p^(a-1) above it.  E = p . c over
-    the inputs with mass.  All-zero columns of W enter neither.  Where an
-    output column's r or s is below the smallest normal float (no input
-    with mass reaches it, or its power underflows), the factored form
-    loses the column, and that call reads c and E from the table instead.
-    The caller holds `np.errstate(**_QUIET)`.
+    with sigma = s r^(-a), the order-a power sum of each posterior column,
+    and G = eta(F(p)) - eta(E) = kappa beta log sum p^a - kappa log(sign E),
+    with E = p . c over the inputs with mass.  Arimoto (both forms) is
+    b = 1, where r cancels: c = sign p^(a-1) * v with v = W^a s^((1-a)/a),
+    and sign E = p^a . v, which needs no mask where p is 0.  An input with
+    p(x) = 0 gets the table's coefficient: +inf for Shannon and below
+    order 1, the terms without p^(a-1) above it.  All-zero columns of W
+    enter neither.  Where F(p) may leave eta's domain, G is
+    `_outer_value`'s (DomainError there), and where E leaves it, -inf.
+    Where an output column's r or s is below the smallest normal float (no
+    input with mass reaches it, or its power underflows), the factored
+    form loses the column, and that call reads c and G as the generic
+    kind does.  The caller holds `np.errstate(**_QUIET)`.
     """
     table = _table_coeffs(spec, w)
+
+    def from_table(p: np.ndarray):
+        c, e = table(p)
+        return c, _outer_value(spec, p, e)
+
     kind, a = spec.kind, spec.alpha
+    if kind not in _CLOSED_FORM_KINDS:
+        return from_table
     w = np.ascontiguousarray(w[:, w.any(axis=0)])
+    least = np.minimum.reduce
 
     if kind == "shannon":
         wlogw = np.where(w > 0.0, w * np.log(w), 0.0).sum(axis=1)
 
         def coeffs(p: np.ndarray):
             r = p @ w
-            if not r.min() >= _TINY:
-                return table(p)
-            c = w @ np.log(r) - wlogw - np.log(p)
-            return c, _expected(p, c)
+            if not least(r) >= _TINY:
+                return from_table(p)
+            minus_d = w @ np.log(r) - wlogw
+            return minus_d - np.log(p), -float(p @ minus_d)
 
         return coeffs
 
     wa = w ** a
-    _, sign, beta, b = spec.pair.row
+    measure, sign, beta, b = spec.pair.row
+    kappa = _POWER_ROWS[measure](a)[2]
+
+    def value(p: np.ndarray, pa: np.ndarray, t: float) -> float:
+        """G from p^a and t = sign E.  Callers have checked s >= _TINY, so
+        sum p^a > 0 and its log cannot raise."""
+        log_f = beta * math.log(np.add.reduce(pa))  # log(sign F(p))
+        if abs(log_f) < 700.0:  # F(p) is a normal float: in eta's domain
+            return kappa * log_f - kappa * math.log(t) if 0.0 < t < math.inf else -math.inf
+        return _outer_value(spec, p, sign * t)
 
     if b == 1.0:  # Arimoto, both forms: r cancels
+        power = (1.0 - a) / a
+
         def coeffs(p: np.ndarray):
-            s = p ** a @ wa
-            if not s.min() >= _TINY:
-                return table(p)
-            c = (sign * p ** (a - 1.0)) * (wa @ s ** ((1.0 - a) / a))
-            return c, _expected(p, c)
+            pa = p ** a
+            s = pa @ wa
+            if not least(s) >= _TINY:
+                return from_table(p)
+            v = wa @ s ** power
+            return (sign * p ** (a - 1.0)) * v, value(p, pa, float(pa @ v))
 
         return coeffs
 
     def coeffs(p: np.ndarray):
-        r, s = p @ w, p ** a @ wa
-        if not min(r.min(), s.min()) >= _TINY:
-            return table(p)
+        pa = p ** a
+        r, s = p @ w, pa @ wa
+        if not min(least(r), least(s)) >= _TINY:
+            return from_table(p)
         r1a = r ** (1.0 - a)
         sigma = s * r1a / r
         sb1 = sigma ** (beta - 1.0)
         c = sign * ((1.0 - b) * (w @ (sb1 * sigma)) + b * p ** (a - 1.0) * (wa @ (r1a * sb1)))
-        return c, _expected(p, c)
+        e = float(p @ c)
+        if not math.isfinite(e):  # below order 1 c is +inf where p is 0
+            has = p > 0.0
+            e = float(p[has] @ c[has])
+        return c, value(p, pa, sign * e)
 
     return coeffs
-
-
-def _expected(p: np.ndarray, c: np.ndarray) -> float:
-    """E = p . c over the inputs with mass (c may be +inf where p is 0)."""
-    e = float(p @ c)
-    if math.isfinite(e):
-        return e
-    has = p > 0.0
-    return float(p[has] @ c[has])

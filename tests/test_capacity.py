@@ -15,6 +15,7 @@ from genmi import (
     Diverged,
     DomainError,
     EntropyPair,
+    GenmiError,
     NonFinite,
     SolverConfig,
     TooLarge,
@@ -251,6 +252,20 @@ class TestTraceAndConfig:
         # an iteration budget is an integer of at least 1
         for bad in (0, -3, 2.5, 3.0, math.nan, "10"):
             with pytest.raises(DomainError):
+                SolverConfig(spec=shannon_spec(), max_iter=bad)
+
+    def test_start_must_be_a_pmf(self):
+        # a list used to reach solve and fail there with AttributeError
+        w = make_channel([[0.9, 0.1], [0.3, 0.7]])
+        with pytest.raises(DomainError, match=r"^p0 must be a Pmf or None, got list$"):
+            solve(SolverConfig(spec=shannon_spec(), p0=[0.5, 0.5]), w)
+        with pytest.raises(DomainError, match=r"got ndarray$"):
+            SolverConfig(spec=shannon_spec(), p0=np.array([0.5, 0.5]))
+
+    def test_bool_budget_is_refused(self):
+        # bool is an Integral, so True used to pass as a budget of 1
+        for bad in (True, False):
+            with pytest.raises(DomainError, match=rf"^max_iter must be .* got {bad}$"):
                 SolverConfig(spec=shannon_spec(), max_iter=bad)
 
     @pytest.mark.parametrize("name", ["numeric_iters", "numeric_step"])
@@ -669,6 +684,64 @@ class TestExactSolveSkipsTheTable:
         for spec in self.SPECS:
             with pytest.raises(AssertionError, match="loss-cell table built"):
                 solve(SolverConfig(spec=generic_spec(spec.pair), max_iter=5), w)
+
+
+class TestExactSolveObjective:
+    """An exact solve reads its objective from the kernel's own products;
+    the capacity it reports is the measure's mutual information at the
+    prior it returns, which `mutual_information` takes through the
+    posterior, sharing no kernel code."""
+
+    SPECS = [shannon_spec()] + [
+        make(a) for a in (0.5, 2.0, 3.0)
+        for make in (arimoto_a1_spec, arimoto_a2_spec, hayashi_spec)
+    ] + [fb_spec(2.0), fb_spec(3.0)]
+
+    @pytest.mark.parametrize("nx,ny", [(3, 3), (16, 16), (64, 64), (8, 256), (256, 8)])
+    def test_capacity_is_mutual_information_at_argmax(self, nx, ny):
+        w, _ = parse_channel_text(random_channel_text(nx, ny, 1))
+        for spec in self.SPECS:
+            got = solve(SolverConfig(spec=spec), w)
+            want = mutual_information(spec.pair, got.argmax_p, w).mi
+            assert abs(got.capacity - want) <= 1e-12, (spec.pair.name, got.capacity, want)
+
+    def test_reads_no_outer_value(self, monkeypatch):
+        def outer_value(*args):
+            raise AssertionError("_outer_value called")
+        for module in (variational, capacity):
+            monkeypatch.setattr(module, "_outer_value", outer_value, raising=False)
+        w = rand_channel(np.random.default_rng(97), 4, 3)
+        for spec in self.SPECS:
+            assert solve(SolverConfig(spec=spec, max_iter=500), w).iterations > 1
+
+    @pytest.mark.parametrize("make", [arimoto_a1_spec, arimoto_a2_spec])
+    def test_core_outside_eta_domain_is_the_pairs_domain_error(self, make):
+        # at order 1e-3, F(p) = (sum p^a)^(1/a) overflows at the uniform
+        # start; the kernel's log form would not, yet must refuse it as
+        # the pair's eta does
+        w, _ = parse_channel_text(random_channel_text(8, 8, 1))
+        with pytest.raises(DomainError, match=r"^arimoto\(0\.001\): core value inf "
+                                              r"outside eta domain \(0, inf\)$"):
+            solve(SolverConfig(spec=make(1e-3)), w)
+
+    @pytest.mark.parametrize("n,seed", [(3, 0), (8, 1)])
+    def test_extreme_orders_end_in_a_value_or_a_typed_error(self, n, seed):
+        # near order 1 and at high orders the order-a measures are an open
+        # defect (wrong values, Diverged, DomainError once sum p^a
+        # underflows); what may never happen is a bare ValueError,
+        # ZeroDivisionError or OverflowError, say from a scalar log of 0
+        w, _ = parse_channel_text(random_channel_text(n, n, seed))
+        orders = (1 - 1e-12, 1 + 1e-12, 1 - 1e-10, 1 + 1e-10, 1 - 1e-8, 1 + 1e-8,
+                  300.0, 1000.0, 5000.0)
+        cases = [(make, a) for a in orders
+                 for make in (arimoto_a1_spec, arimoto_a2_spec, hayashi_spec)]
+        cases += [(fb_spec, a) for a in orders if a > 1.0]
+        for make, a in cases:
+            try:
+                got = solve(SolverConfig(spec=make(a), max_iter=2000), w)
+            except GenmiError:
+                continue
+            assert math.isfinite(got.capacity), (make.__name__, a, got.capacity)
 
 
 def _shannon_radius(p, rows):
